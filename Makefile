@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test race test-race check check-obs check-chaos check-stream check-multipat check-banded check-store check-server check-tune bench bench-smoke figures figures-paper examples fuzz fuzz-smoke
+.PHONY: all build test race test-race check check-obs check-chaos check-stream check-multipat check-banded check-store check-server check-tune check-perfbench bench bench-smoke figures figures-paper examples fuzz fuzz-smoke
 
 all: build test
 
@@ -34,8 +34,8 @@ check:
 # they run in `go test ./...` above but not in test-race). A strict
 # subset of `check` — use for a fast loop while touching internal/obs.
 check-obs:
-	go test ./internal/obs ./internal/query ./internal/stats ./cmd/semilocal
-	go test -race ./internal/obs ./internal/query ./internal/stats
+	go test ./internal/obs ./internal/query ./cmd/semilocal
+	go test -race ./internal/obs ./internal/query
 	go test -run 'TestStageCoverage4096|TestSolveObservedMatchesSolve' ./internal/core
 
 # Chaos lane: the fault-injection harness and the hardened serving
@@ -131,6 +131,12 @@ check-tune:
 	go test -race ./internal/tune ./internal/recycle ./internal/core ./internal/query ./cmd/semilocal
 	go test -run 'ZeroAllocs' ./internal/recycle ./internal/query
 	go test -fuzz FuzzProfileLoad -fuzztime 10s ./internal/tune
+
+# Benchmark-harness lane: perfbench is a separate module, so the root
+# `go build ./...` never compiles it. Vet and unit-test it here so an
+# API change in the serving layers that breaks the harness fails CI.
+check-perfbench:
+	cd perfbench && go vet ./... && go test ./...
 
 bench:
 	go test -bench=. -benchmem ./...

@@ -10,7 +10,6 @@ import (
 
 	"semilocal"
 	"semilocal/internal/obs"
-	"semilocal/internal/stats"
 )
 
 // newMetricsMux wires the -serve-batch observability endpoints:
@@ -25,7 +24,7 @@ func newMetricsMux(rec *semilocal.StageRecorder, engine *semilocal.Engine) *http
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		obs.WriteMetrics(w, rec.Snapshot(), engine.Stats())
+		writeMetricsTo(w, rec, engine)
 	})
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", netpprof.Index)
@@ -60,14 +59,27 @@ func installExpvar(f func() map[string]int64) {
 }
 
 // obsVars flattens the recorder snapshot and engine counters into one
-// name → value map for expvar.
+// name → value map for expvar: the engine counters under their own
+// names, obs_stage_<stage>_count and obs_stage_<stage>_ns for every
+// stage with recorded spans, obs_<counter> for every nonzero work
+// counter, and obs_compose_depth_max once recorded.
 func obsVars(rec *semilocal.StageRecorder, engine *semilocal.Engine) func() map[string]int64 {
 	return func() map[string]int64 {
 		m := engine.Stats()
-		reg := stats.NewRegistry()
-		rec.Snapshot().PublishTo(reg)
-		for k, v := range reg.Snapshot() {
-			m[k] = v
+		s := rec.Snapshot()
+		for st := obs.Stage(0); st < obs.NumStages; st++ {
+			if h := s.Stages[st]; h.Count > 0 {
+				m["obs_stage_"+st.String()+"_count"] = int64(h.Count)
+				m["obs_stage_"+st.String()+"_ns"] = h.Sum
+			}
+		}
+		for c := obs.CounterID(0); c < obs.NumCounters; c++ {
+			if s.Counters[c] != 0 {
+				m["obs_"+c.String()] = s.Counters[c]
+			}
+		}
+		if s.ComposeDepthMax > 0 {
+			m["obs_compose_depth_max"] = s.ComposeDepthMax
 		}
 		return m
 	}
@@ -76,7 +88,7 @@ func obsVars(rec *semilocal.StageRecorder, engine *semilocal.Engine) func() map[
 // writeMetricsTo prints one Prometheus exposition of the current state
 // (the -metrics - mode).
 func writeMetricsTo(w io.Writer, rec *semilocal.StageRecorder, engine *semilocal.Engine) {
-	obs.WriteMetrics(w, rec.Snapshot(), engine.Stats())
+	obs.WriteMetrics(w, rec.Snapshot(), engine.Registry().Values())
 }
 
 // metricsServer is the HTTP side of -metrics: it lives for the duration

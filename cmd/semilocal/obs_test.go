@@ -6,12 +6,16 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
 
 	"semilocal"
+	"semilocal/internal/obs"
+	"semilocal/internal/query"
+	"semilocal/internal/server"
 )
 
 // Wall-clock durations, percentages and latency-histogram placements
@@ -132,7 +136,7 @@ func TestMetricsEndpoints(t *testing.T) {
 	if err := json.Unmarshal(vars["semilocal"], &flat); err != nil {
 		t.Fatalf("expvar semilocal variable: %v", err)
 	}
-	if flat["obs_stage_solve_count"] != 1 || flat["cache_misses"] != 1 {
+	if flat["obs_stage_solve_count"] != 1 || flat["obs_comb_cells"] != 70 || flat["cache_misses"] != 1 {
 		t.Errorf("expvar values wrong: %v", flat)
 	}
 
@@ -150,4 +154,107 @@ func TestMetricsEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	ms2.stop()
+}
+
+// TestExpositionWellFormed parses the two Prometheus expositions — the
+// CLI -metrics - dump and a live two-shard Server.WriteMetrics — and
+// checks that every sample sits in a family declared by exactly one
+// # TYPE line, that no series repeats, and that each value is exported
+// with its kind: monotonic values under counter families, values that
+// move both ways under gauge families.
+func TestExpositionWellFormed(t *testing.T) {
+	var cli bytes.Buffer
+	if err := run([]string{"-serve-batch", filepath.Join("testdata", "batch.txt"), "-metrics", "-"}, &cli); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, err := server.New(server.Config{Shards: 2, Engine: query.Options{Obs: obs.New()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for path, body := range map[string]string{
+		"/v1/batch":  `{"requests":[{"a":"abracadabra","b":"alakazam","kind":"score"},{"a":"GATTACA","b":"TACGATTACA","kind":"score"}]}`,
+		"/v1/stream": `{"pattern":"GATTACA","ops":[{"op":"append","chunk":"TACGATTACA"}]}`,
+	} {
+		rr := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		if rr.Code != http.StatusOK {
+			t.Fatalf("POST %s: status %d: %s", path, rr.Code, rr.Body)
+		}
+	}
+	var tier bytes.Buffer
+	srv.WriteMetrics(&tier)
+
+	wantKinds := map[string]string{
+		"cache_hits": "counter", "requests": "counter",
+		"cache_bytes": "gauge", "requests_inflight": "gauge", "open_spans": "gauge",
+	}
+	checkExposition(t, "cli", cli.String(), wantKinds)
+	wantKinds["server_requests"] = "counter"
+	checkExposition(t, "server", tier.String(), wantKinds)
+}
+
+// checkExposition validates one exposition; text before the first
+// # HELP line (the CLI's answers and summary comments) is skipped. A
+// value named x is a sample labelled name="x" or the unlabelled metric
+// semilocal_obs_x; every such sample must sit in a family of the wanted
+// kind.
+func checkExposition(t *testing.T, what, text string, wantKinds map[string]string) {
+	t.Helper()
+	if i := strings.Index(text, "# HELP "); i >= 0 {
+		text = text[i:]
+	}
+	kinds := map[string]string{} // family → declared type
+	series := map[string]bool{}
+	seen := map[string]int{} // value name → samples checked
+	for _, line := range strings.Split(strings.TrimSpace(text), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			if _, dup := kinds[f[2]]; dup {
+				t.Errorf("%s: family %s declared twice", what, f[2])
+			}
+			kinds[f[2]] = f[3]
+			continue
+		}
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		sp := strings.LastIndexByte(line, ' ')
+		if sp < 0 {
+			t.Errorf("%s: malformed sample %q", what, line)
+			continue
+		}
+		key := line[:sp]
+		if series[key] {
+			t.Errorf("%s: series %s appears twice", what, key)
+		}
+		series[key] = true
+		metric, _, _ := strings.Cut(key, "{")
+		family := metric
+		if _, ok := kinds[family]; !ok {
+			for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+				if base, ok := strings.CutSuffix(metric, suffix); ok && kinds[base] == "histogram" {
+					family = base
+				}
+			}
+		}
+		kind, ok := kinds[family]
+		if !ok {
+			t.Errorf("%s: sample %q belongs to no declared family", what, line)
+			continue
+		}
+		for name, want := range wantKinds {
+			if strings.Contains(key, `name="`+name+`"`) || metric == "semilocal_obs_"+name {
+				seen[name]++
+				if kind != want {
+					t.Errorf("%s: %s exported under %s family %s, want a %s family", what, name, kind, family, want)
+				}
+			}
+		}
+	}
+	for name := range wantKinds {
+		if seen[name] == 0 {
+			t.Errorf("%s: no sample for %s", what, name)
+		}
+	}
 }

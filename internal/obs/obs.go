@@ -1,7 +1,9 @@
 // Package obs is the instrumentation subsystem of this repository: stage
 // timers on the monotonic clock, lock-free sharded counters, and
 // fixed-bucket latency histograms with mergeable snapshots, threaded
-// through the kernel solvers and the query engine as a *Recorder.
+// through the kernel solvers and the query engine as a *Recorder. The
+// serving layers (query engine, store tier, sharded server) count their
+// events in a Registry of named counters and gauges instead.
 //
 // The cardinal design rule is that a nil *Recorder is the disabled
 // recorder: every method on a nil receiver is a no-op that performs
@@ -174,16 +176,6 @@ const (
 	// must read zero whenever the recorded system is quiescent; the
 	// engine shutdown tests assert this.
 	CounterOpenSpans
-	// CounterRetries counts solve attempts re-issued by the engine's
-	// retry policy after a transient failure.
-	CounterRetries
-	// CounterSheds counts requests rejected by admission control (the
-	// bounded queue was full; the request got a typed shed error).
-	CounterSheds
-	// CounterDegradations counts requests that fell back from a
-	// parallel solve configuration to the sequential variant because a
-	// deadline was near or a worker stall was injected.
-	CounterDegradations
 	// CounterFaultsInjected counts faults fired by a chaos injector.
 	CounterFaultsInjected
 	// CounterStreamAppends counts chunks appended to streaming sessions
@@ -195,38 +187,6 @@ const (
 	// rebuilds. The differential suite bounds this against the
 	// O(log(leaves)) amortized budget.
 	CounterStreamComposes
-	// CounterBandedRequests counts engine requests answered by the
-	// banded diagonal-BFS fast path instead of kernel construction.
-	CounterBandedRequests
-	// CounterBandFallbacks counts banded-eligible requests that fell
-	// back to the kernel pipeline — the probe voted no, the band blew
-	// past its budget, or a chaos fault forced the fallback. For any
-	// banded-eligible load, requests_banded + band_fallbacks accounts
-	// for every eligible request (the soak test pins this).
-	CounterBandFallbacks
-	// CounterStoreHits counts cache misses answered by the persistent
-	// kernel store instead of a solve.
-	CounterStoreHits
-	// CounterStoreMisses counts cache misses the store could not answer
-	// (absent, corrupt, or faulted by chaos) that went on to solve.
-	CounterStoreMisses
-	// CounterStoreAppends counts kernels durably appended to the
-	// persistent store by the background publisher.
-	CounterStoreAppends
-	// CounterStoreCorrupt counts store records that failed their
-	// checksum (at open-scan or read time) — detected, skipped, and
-	// never served.
-	CounterStoreCorrupt
-	// CounterServerRequests counts requests accepted by the sharded
-	// serving tier's network API (batch requests and stream ops alike).
-	CounterServerRequests
-	// CounterServerReroutes counts requests routed away from their home
-	// shard because it was killed by chaos or marked unhealthy — the
-	// degraded-not-failed path of the tier.
-	CounterServerReroutes
-	// CounterTenantRejects counts requests rejected by per-tenant quota
-	// admission before touching any shard.
-	CounterTenantRejects
 	// CounterProfileLoads counts machine profiles successfully loaded
 	// from disk (internal/tune).
 	CounterProfileLoads
@@ -260,11 +220,7 @@ const (
 var counterNames = [NumCounters]string{
 	"comb_cells", "comb_diags", "composes", "compose_order",
 	"arena_bytes", "grid_tiles", "bit_blocks", "open_spans",
-	"retries", "sheds", "degradations", "faults_injected",
-	"appends_total", "compositions_total",
-	"requests_banded", "band_fallbacks",
-	"store_hits", "store_misses", "store_appends", "store_corrupt_records",
-	"server_requests", "server_reroutes", "tenant_rejects",
+	"faults_injected", "appends_total", "compositions_total",
 	"profile_loads", "profile_fallbacks", "tune_probes",
 	"stream_group_appends", "stream_group_patterns", "stream_group_shares",
 	"profile_stale",

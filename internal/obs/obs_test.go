@@ -5,8 +5,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"semilocal/internal/stats"
 )
 
 // TestShardedCounterConcurrentExactness: increments from many
@@ -148,41 +146,25 @@ func TestBreakdownAndCoverage(t *testing.T) {
 	}
 }
 
-func TestPublishTo(t *testing.T) {
-	r := New()
-	r.Observe(StageSolve, 2*time.Millisecond)
-	r.Add(CounterComposes, 3)
-	r.RecordComposeDepth(5)
-	reg := stats.NewRegistry()
-	r.Snapshot().PublishTo(reg)
-	snap := reg.Snapshot()
-	if snap["obs_stage_solve_count"] != 1 || snap["obs_stage_solve_ns"] != int64(2*time.Millisecond) {
-		t.Fatalf("published stage values wrong: %v", snap)
-	}
-	if snap["obs_composes"] != 3 || snap["obs_compose_depth_max"] != 5 {
-		t.Fatalf("published counters wrong: %v", snap)
-	}
-	// Re-publishing a newer snapshot overwrites rather than accumulates.
-	r.Add(CounterComposes, 1)
-	r.Snapshot().PublishTo(reg)
-	if got := reg.Snapshot()["obs_composes"]; got != 4 {
-		t.Fatalf("re-publish = %d, want 4", got)
-	}
-}
-
 func TestWriteMetricsShape(t *testing.T) {
 	r := New()
 	r.Observe(StageSolve, time.Millisecond)
 	var sb strings.Builder
-	WriteMetrics(&sb, r.Snapshot(), map[string]int64{"cache_hits": 2, "requests": 5})
+	engine := Values{{"cache_bytes", KindGauge, 9}, {"cache_hits", KindCounter, 2}}
+	shard := Values{{"cache_hits", KindCounter, 2}}
+	WriteMetrics(&sb, r.Snapshot(), engine, shard, shard)
 	out := sb.String()
 	for _, want := range []string{
 		"# TYPE semilocal_stage_duration_seconds histogram",
 		`semilocal_stage_duration_seconds_bucket{stage="solve",le="+Inf"} 1`,
 		`semilocal_stage_duration_seconds_count{stage="solve"} 1`,
 		`semilocal_obs_counter{name="comb_cells"} 0`,
+		"# TYPE semilocal_obs_open_spans gauge\nsemilocal_obs_open_spans 0\n",
 		"semilocal_obs_compose_depth_max 0",
-		`semilocal_engine_counter{name="cache_hits"} 2`,
+		"# TYPE semilocal_engine_counter counter\n" + `semilocal_engine_counter{name="cache_hits"} 2`,
+		"# TYPE semilocal_engine_gauge gauge\n" + `semilocal_engine_gauge{name="cache_bytes"} 9`,
+		`semilocal_shard_counter{shard="0",name="cache_hits"} 2` + "\n" + `semilocal_shard_counter{shard="1",name="cache_hits"} 2`,
+		"# TYPE semilocal_shard_gauge gauge",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("metrics output missing %q:\n%s", want, out)
@@ -195,5 +177,8 @@ func TestWriteMetricsShape(t *testing.T) {
 	// Stages without observations are omitted.
 	if strings.Contains(out, `stage="queue_wait"`) {
 		t.Fatal("empty stage rendered")
+	}
+	if strings.Contains(out, `name="open_spans"`) {
+		t.Fatal("open_spans rendered inside the obs counter family")
 	}
 }

@@ -3,11 +3,8 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"time"
-
-	"semilocal/internal/stats"
 )
 
 // Snapshot is a point-in-time copy of a Recorder: one histogram
@@ -108,38 +105,15 @@ func (s Snapshot) WriteBreakdown(w io.Writer) {
 	}
 }
 
-// PublishTo publishes the snapshot into a stats registry as absolute
-// gauge values: obs_stage_<stage>_count, obs_stage_<stage>_ns for every
-// stage with recorded spans, obs_<counter> for every nonzero counter,
-// and obs_compose_depth_max. Re-publishing a newer snapshot overwrites
-// the previous values.
-func (s Snapshot) PublishTo(reg *stats.Registry) {
-	for st := Stage(0); st < NumStages; st++ {
-		h := s.Stages[st]
-		if h.Count == 0 {
-			continue
-		}
-		reg.Set("obs_stage_"+st.String()+"_count", int64(h.Count))
-		reg.Set("obs_stage_"+st.String()+"_ns", h.Sum)
-	}
-	for c := CounterID(0); c < NumCounters; c++ {
-		if s.Counters[c] == 0 {
-			continue
-		}
-		reg.Set("obs_"+c.String(), s.Counters[c])
-	}
-	if s.ComposeDepthMax > 0 {
-		reg.Set("obs_compose_depth_max", s.ComposeDepthMax)
-	}
-}
-
-// WriteMetrics renders the snapshot (plus optional extra counters, e.g.
-// an engine's stats registry snapshot) in the Prometheus text
-// exposition format. Stage histograms appear only once they have
-// observations (so scrape output stays proportional to what actually
-// ran); counters and extras always appear, with a stable ordering
-// throughout — the metrics golden test pins the exact shape.
-func WriteMetrics(w io.Writer, s Snapshot, extra map[string]int64) {
+// WriteMetrics renders the snapshot and the engine registry values in
+// the Prometheus text exposition format; shards, when given, add the
+// per-shard split labelled by shard index. Registry values render under
+// a counter family or a gauge family by the kind each was registered
+// with. Stage histograms appear only once they have observations (so
+// scrape output stays proportional to what actually ran); counters
+// always appear, with a stable ordering throughout — the metrics golden
+// test pins the exact shape.
+func WriteMetrics(w io.Writer, s Snapshot, engine Values, shards ...Values) {
 	fmt.Fprintf(w, "# HELP semilocal_stage_duration_seconds Latency of one solver or serving stage.\n")
 	fmt.Fprintf(w, "# TYPE semilocal_stage_duration_seconds histogram\n")
 	for st := Stage(0); st < NumStages; st++ {
@@ -161,21 +135,39 @@ func WriteMetrics(w io.Writer, s Snapshot, extra map[string]int64) {
 	fmt.Fprintf(w, "# HELP semilocal_obs_counter Solver event counters.\n")
 	fmt.Fprintf(w, "# TYPE semilocal_obs_counter counter\n")
 	for c := CounterID(0); c < NumCounters; c++ {
-		fmt.Fprintf(w, "semilocal_obs_counter{name=%q} %d\n", c.String(), s.Counters[c])
+		if c != CounterOpenSpans {
+			fmt.Fprintf(w, "semilocal_obs_counter{name=%q} %d\n", c.String(), s.Counters[c])
+		}
 	}
+	fmt.Fprintf(w, "# HELP semilocal_obs_open_spans Stage spans started and not yet ended.\n")
+	fmt.Fprintf(w, "# TYPE semilocal_obs_open_spans gauge\n")
+	fmt.Fprintf(w, "semilocal_obs_open_spans %d\n", s.Counters[CounterOpenSpans])
 	fmt.Fprintf(w, "# HELP semilocal_obs_compose_depth_max Deepest observed steady-ant recursion.\n")
 	fmt.Fprintf(w, "# TYPE semilocal_obs_compose_depth_max gauge\n")
 	fmt.Fprintf(w, "semilocal_obs_compose_depth_max %d\n", s.ComposeDepthMax)
-	if extra != nil {
-		fmt.Fprintf(w, "# HELP semilocal_engine_counter Query engine counters.\n")
-		fmt.Fprintf(w, "# TYPE semilocal_engine_counter gauge\n")
-		names := make([]string, 0, len(extra))
-		for name := range extra {
-			names = append(names, name)
+	writeValues(w, "semilocal_engine", "Query engine", []string{""}, []Values{engine})
+	if len(shards) > 0 {
+		labels := make([]string, len(shards))
+		for i := range labels {
+			labels[i] = fmt.Sprintf("shard=\"%d\",", i)
 		}
-		sort.Strings(names)
-		for _, name := range names {
-			fmt.Fprintf(w, "semilocal_engine_counter{name=%q} %d\n", name, extra[name])
+		writeValues(w, "semilocal_shard", "Per-shard engine", labels, shards)
+	}
+}
+
+// writeValues renders registry value sets as two families,
+// <prefix>_counter and <prefix>_gauge; labels[i] prefixes the label set
+// of every sample from sets[i].
+func writeValues(w io.Writer, prefix, help string, labels []string, sets []Values) {
+	for _, k := range []Kind{KindCounter, KindGauge} {
+		fmt.Fprintf(w, "# HELP %s_%s %s %ss.\n", prefix, k, help, k)
+		fmt.Fprintf(w, "# TYPE %s_%s %s\n", prefix, k, k)
+		for i, vs := range sets {
+			for _, v := range vs {
+				if v.Kind == k {
+					fmt.Fprintf(w, "%s_%s{%sname=%q} %d\n", prefix, k, labels[i], v.Name, v.N)
+				}
+			}
 		}
 	}
 }

@@ -85,7 +85,6 @@ func (e *Engine) tryBanded(ctx context.Context, req Request) (Result, bool) {
 		return Result{Err: err}, true
 	}
 	e.bandedReqs.Inc()
-	e.rec.Add(obs.CounterBandedRequests, 1)
 	return Result{Score: score}, true
 }
 
@@ -93,6 +92,5 @@ func (e *Engine) tryBanded(ctx context.Context, req Request) (Result, bool) {
 // the dispatcher discards.
 func (e *Engine) bandFallback() Result {
 	e.bandFallbacks.Inc()
-	e.rec.Add(obs.CounterBandFallbacks, 1)
 	return Result{}
 }

@@ -85,9 +85,10 @@ func TestBandedDispatchBitIdentical(t *testing.T) {
 	}
 }
 
-// TestBandedCountersMirrorObs pins that the stats counters and the obs
-// counters tell the same story, and that the banded stages recorded
-// spans.
+// TestBandedCountersMirrorObs pins that the dispatch counters in Stats
+// and the obs stage spans tell the same story: every eligible request
+// ran the probe exactly once, and every banded answer came out of a
+// BFS run.
 func TestBandedCountersMirrorObs(t *testing.T) {
 	reqs, _ := bandedWorkload(rand.New(rand.NewSource(22)))
 	rec := obs.New()
@@ -99,18 +100,19 @@ func TestBandedCountersMirrorObs(t *testing.T) {
 		}
 	}
 	snap := e.Stats()
-	if got := rec.Counter(obs.CounterBandedRequests); got != snap["requests_banded"] {
-		t.Errorf("obs requests_banded = %d, stats = %d", got, snap["requests_banded"])
-	}
-	if got := rec.Counter(obs.CounterBandFallbacks); got != snap["band_fallbacks"] {
-		t.Errorf("obs band_fallbacks = %d, stats = %d", got, snap["band_fallbacks"])
-	}
 	os := rec.Snapshot()
-	if os.Stages[obs.StageBandProbe].Count == 0 {
-		t.Error("band_probe recorded no spans")
+	probes := int64(os.Stages[obs.StageBandProbe].Count)
+	bfs := int64(os.Stages[obs.StageBandedBFS].Count)
+	if probes == 0 || bfs == 0 {
+		t.Fatalf("banded stages recorded no spans: band_probe %d, banded_bfs %d", probes, bfs)
 	}
-	if os.Stages[obs.StageBandedBFS].Count == 0 {
-		t.Error("banded_bfs recorded no spans")
+	if got := snap["requests_banded"] + snap["band_fallbacks"]; got != probes {
+		t.Errorf("requests_banded %d + band_fallbacks %d != %d band_probe spans",
+			snap["requests_banded"], snap["band_fallbacks"], probes)
+	}
+	if snap["requests_banded"] > bfs || bfs > probes {
+		t.Errorf("want requests_banded %d <= banded_bfs spans %d <= band_probe spans %d",
+			snap["requests_banded"], bfs, probes)
 	}
 }
 
@@ -266,10 +268,6 @@ func TestBandedConcurrentSoak(t *testing.T) {
 	if got := snap["requests_banded"] + snap["band_fallbacks"]; got != total {
 		t.Fatalf("reconciliation: banded %d + fallbacks %d != %d eligible requests",
 			snap["requests_banded"], snap["band_fallbacks"], total)
-	}
-	if rec.Counter(obs.CounterBandedRequests) != snap["requests_banded"] ||
-		rec.Counter(obs.CounterBandFallbacks) != snap["band_fallbacks"] {
-		t.Fatal("obs and stats counters disagree at quiescence")
 	}
 	if rec.OpenSpans() != 0 {
 		t.Fatalf("open spans at quiescence: %d", rec.OpenSpans())

@@ -9,7 +9,6 @@ import (
 	"semilocal/internal/chaos"
 	"semilocal/internal/core"
 	"semilocal/internal/obs"
-	"semilocal/internal/stats"
 	"sync"
 )
 
@@ -65,14 +64,14 @@ type cache struct {
 	inj    *chaos.Injector
 	tier   *storeTier // nil when no persistent store is configured
 
-	hits      *stats.Counter // request served by a resident session
-	misses    *stats.Counter // request started a solve
-	deduped   *stats.Counter // request joined another request's solve
-	evictions *stats.Counter // resident session dropped by LRU pressure
-	bytes     *stats.Counter // resident session bytes (gauge)
+	hits      *obs.Counter // request served by a resident session
+	misses    *obs.Counter // request started a solve
+	deduped   *obs.Counter // request joined another request's solve
+	evictions *obs.Counter // resident session dropped by LRU pressure
+	bytes     *obs.Gauge   // resident session bytes
 }
 
-func newCache(shards, capacity int, reg *stats.Registry, rec *obs.Recorder, inj *chaos.Injector, tn *core.Tuning, tier *storeTier) *cache {
+func newCache(shards, capacity int, reg *obs.Registry, rec *obs.Recorder, inj *chaos.Injector, tn *core.Tuning, tier *storeTier) *cache {
 	if shards < 1 {
 		shards = 1
 	}
@@ -91,7 +90,7 @@ func newCache(shards, capacity int, reg *stats.Registry, rec *obs.Recorder, inj 
 		misses:    reg.Counter("cache_misses"),
 		deduped:   reg.Counter("cache_deduped"),
 		evictions: reg.Counter("cache_evictions"),
-		bytes:     reg.Counter("cache_bytes"),
+		bytes:     reg.Gauge("cache_bytes"),
 	}
 	if rec != nil || inj != nil || tn != nil {
 		c.solve = func(a, b []byte, cfg core.Config) (*core.Kernel, error) {

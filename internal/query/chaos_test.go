@@ -174,9 +174,6 @@ func TestRetryRecoversTransientFaults(t *testing.T) {
 	if st["requests_retried"] != 2 {
 		t.Fatalf("requests_retried = %d, want 2", st["requests_retried"])
 	}
-	if got := rec.Counter(obs.CounterRetries); got != 2 {
-		t.Fatalf("obs retries = %d, want 2", got)
-	}
 	if got := rec.Counter(obs.CounterFaultsInjected); got != 2 {
 		t.Fatalf("obs faults_injected = %d, want 2", got)
 	}
@@ -237,8 +234,7 @@ func TestNoRetryWithoutPolicy(t *testing.T) {
 // exactly MaxQueue requests and sheds the tail with ErrShed; once the
 // admitted requests drain, a follow-up batch is admitted again.
 func TestLoadSheddingBoundsTheQueue(t *testing.T) {
-	rec := obs.New()
-	e := NewEngine(Options{MaxQueue: 3, Obs: rec})
+	e := NewEngine(Options{MaxQueue: 3, Obs: obs.New()})
 	defer e.Close()
 	reqs := make([]Request, 10)
 	for i := range reqs {
@@ -267,9 +263,6 @@ func TestLoadSheddingBoundsTheQueue(t *testing.T) {
 	if st["requests_shed"] != 7 {
 		t.Fatalf("requests_shed = %d, want 7", st["requests_shed"])
 	}
-	if got := rec.Counter(obs.CounterSheds); got != 7 {
-		t.Fatalf("obs sheds = %d, want 7", got)
-	}
 	// Slots were released as requests finished: the same batch now
 	// admits three more (and serves cache hits for the first three).
 	out2 := e.BatchSolve(context.Background(), reqs[:3])
@@ -284,10 +277,9 @@ func TestLoadSheddingBoundsTheQueue(t *testing.T) {
 // deadline, every uncached parallel solve falls back to the sequential
 // variant — counted, and still answering correctly.
 func TestDegradationNearDeadline(t *testing.T) {
-	rec := obs.New()
 	e := NewEngine(Options{
 		Config:       core.Config{Algorithm: core.GridReduction, Workers: 4},
-		Obs:          rec,
+		Obs:          obs.New(),
 		Deadline:     2 * time.Second,
 		DegradeBelow: time.Hour, // any finite deadline is "near"
 	})
@@ -307,9 +299,6 @@ func TestDegradationNearDeadline(t *testing.T) {
 	st := e.Stats()
 	if st["requests_degraded"] != 1 {
 		t.Fatalf("requests_degraded = %d, want 1", st["requests_degraded"])
-	}
-	if got := rec.Counter(obs.CounterDegradations); got != 1 {
-		t.Fatalf("obs degradations = %d, want 1", got)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"semilocal/internal/core"
 	"semilocal/internal/obs"
 	"semilocal/internal/parallel"
-	"semilocal/internal/stats"
 	"semilocal/internal/store"
 )
 
@@ -64,9 +63,6 @@ type Options struct {
 	// Shards is the lock-sharding factor of the cache; 0 means
 	// DefaultShards.
 	Shards int
-	// Stats receives the engine's counters; nil allocates a private
-	// registry, exposed by Engine.Stats.
-	Stats *stats.Registry
 	// Obs receives stage timings (queue wait, cache hit/miss latency,
 	// per-request end-to-end, solver stages) and work counters. nil (the
 	// default) disables tracing entirely: the hot paths run the
@@ -136,7 +132,7 @@ type Engine struct {
 	tier   *storeTier // nil without a persistent store
 	pool   *parallel.Pool
 	cfg    core.Config
-	reg    *stats.Registry
+	reg    *obs.Registry
 	rec    *obs.Recorder
 	inj    *chaos.Injector
 	tn     *core.Tuning
@@ -151,26 +147,23 @@ type Engine struct {
 
 	banded BandedConfig
 
-	requests *stats.Counter // BatchSolve requests accepted
-	inflight *stats.Counter // requests currently being processed (gauge)
-	sheds    *stats.Counter // requests rejected by admission control
-	retried  *stats.Counter // extra solve attempts after transient failures
-	degraded *stats.Counter // requests downgraded to the sequential variant
+	requests *obs.Counter // BatchSolve requests accepted
+	inflight *obs.Gauge   // requests currently being processed
+	sheds    *obs.Counter // requests rejected by admission control
+	retried  *obs.Counter // extra solve attempts after transient failures
+	degraded *obs.Counter // requests downgraded to the sequential variant
 
 	// Registered only when the banded fast path is enabled, so engines
 	// that never dispatch keep their counter set (and metrics output)
 	// unchanged — the same lazy-registration contract the streaming
 	// counters follow.
-	bandedReqs    *stats.Counter // Score requests answered by the banded path
-	bandFallbacks *stats.Counter // banded-eligible requests routed to the kernel
+	bandedReqs    *obs.Counter // Score requests answered by the banded path
+	bandFallbacks *obs.Counter // banded-eligible requests routed to the kernel
 }
 
 // NewEngine builds an engine; the caller owns it and must Close it.
 func NewEngine(opts Options) *Engine {
-	reg := opts.Stats
-	if reg == nil {
-		reg = stats.NewRegistry()
-	}
+	reg := obs.NewRegistry()
 	shards := opts.Shards
 	if shards == 0 {
 		shards = DefaultShards
@@ -195,7 +188,7 @@ func NewEngine(opts Options) *Engine {
 		degradeBelow: opts.DegradeBelow,
 		banded:       opts.Banded,
 		requests:     reg.Counter("requests"),
-		inflight:     reg.Counter("requests_inflight"),
+		inflight:     reg.Gauge("requests_inflight"),
 		sheds:        reg.Counter("requests_shed"),
 		retried:      reg.Counter("requests_retried"),
 		degraded:     reg.Counter("requests_degraded"),
@@ -223,14 +216,29 @@ func (e *Engine) Close() {
 	e.tier.close()
 }
 
-// Stats returns a snapshot of the engine's counters: cache_hits,
-// cache_misses, cache_deduped, cache_evictions, cache_bytes, requests,
-// requests_inflight, requests_shed, requests_retried,
-// requests_degraded.
+// Registry returns the engine's counter registry, which carries each
+// value's kind (counter or gauge) for metrics exposition.
+func (e *Engine) Registry() *obs.Registry { return e.reg }
+
+// Stats returns a snapshot of the engine's counters. Every engine
+// reports cache_hits, cache_misses, cache_deduped, cache_evictions,
+// cache_bytes, requests, requests_inflight, requests_shed,
+// requests_retried and requests_degraded. The rest register on first
+// use, so an engine reports them only once the layer they count runs:
+//   - with a store: store_hits, store_misses, store_appends,
+//     store_corrupt_records;
+//   - with the banded fast path: requests_banded, band_fallbacks;
+//   - once streams open: streams_opened, stream_appends, stream_slides;
+//   - once stream groups open: stream_groups_opened,
+//     stream_group_patterns, stream_group_appends, stream_group_slides.
+//
+// cache_bytes and requests_inflight are gauges; every other value only
+// grows.
 func (e *Engine) Stats() map[string]int64 { return e.reg.Snapshot() }
 
-// StatsLine renders the counters as a stable one-line summary.
-func (e *Engine) StatsLine() string { return e.reg.String() }
+// StatsLine renders the counters as a stable one-line summary (sorted
+// names).
+func (e *Engine) StatsLine() string { return e.reg.Values().String() }
 
 // CachedKernels reports the number of resident cached sessions.
 func (e *Engine) CachedKernels() int { return e.cache.len() }
@@ -310,14 +318,13 @@ func (e *Engine) BatchSolve(ctx context.Context, reqs []Request) []Result {
 	if admitted < len(reqs) {
 		shed := int64(len(reqs) - admitted)
 		e.sheds.Add(shed)
-		e.rec.Add(obs.CounterSheds, shed)
 		for i := admitted; i < len(reqs); i++ {
 			out[i].Err = ErrShed
 		}
 	}
 	if !e.rec.Enabled() {
 		e.pool.Each(admitted, func(i int) {
-			e.inflight.Inc()
+			e.inflight.Add(1)
 			out[i] = e.one(ctx, reqs[i], e.workerFault())
 			e.inflight.Add(-1)
 			e.release()
@@ -332,7 +339,7 @@ func (e *Engine) BatchSolve(ctx context.Context, reqs []Request) []Result {
 	// kind.
 	submit := time.Now()
 	e.pool.Each(admitted, func(i int) {
-		e.inflight.Inc()
+		e.inflight.Add(1)
 		e.rec.Observe(obs.StageQueueWait, time.Since(submit))
 		stalled := e.workerFault()
 		pprof.Do(ctx, pprof.Labels("op", "batch_solve", "kind", reqs[i].Kind.String()), func(ctx context.Context) {
@@ -428,7 +435,6 @@ func (e *Engine) one(ctx context.Context, req Request, stalled bool) Result {
 		if seq, changed := degradeConfig(cfg); changed {
 			cfg = seq
 			e.degraded.Inc()
-			e.rec.Add(obs.CounterDegradations, 1)
 		}
 	}
 	sess, err := e.acquireRetry(ctx, req.A, req.B, cfg)
@@ -530,7 +536,6 @@ func (e *Engine) retryTransient(ctx context.Context, what string, op func() erro
 			bsp.End()
 		}
 		e.retried.Inc()
-		e.rec.Add(obs.CounterRetries, 1)
 		if err = op(); err == nil || !IsTransient(err) {
 			return err
 		}

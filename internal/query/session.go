@@ -10,8 +10,8 @@
 // solve configuration, with singleflight deduplication (concurrent
 // requests for the same pair trigger exactly one solve) and a batch
 // entry point that fans independent requests across a worker pool under
-// per-request context deadlines. Cache traffic is counted through a
-// stats.Registry for observability.
+// per-request context deadlines. Cache traffic is counted through an
+// obs.Registry for observability.
 package query
 
 import (

@@ -7,7 +7,6 @@ import (
 	"semilocal/internal/chaos"
 	"semilocal/internal/core"
 	"semilocal/internal/obs"
-	"semilocal/internal/stats"
 	"semilocal/internal/store"
 	"sync"
 )
@@ -33,10 +32,10 @@ type storeTier struct {
 	// one keep their counter set (and metrics output) unchanged — the
 	// same lazy-registration contract the banded and streaming
 	// counters follow.
-	hits    *stats.Counter // cache misses answered from the store
-	misses  *stats.Counter // store lookups that fell through to a solve
-	appends *stats.Counter // kernels durably appended
-	corrupt *stats.Counter // records that failed checksum/decode
+	hits    *obs.Counter // cache misses answered from the store
+	misses  *obs.Counter // store lookups that fell through to a solve
+	appends *obs.Counter // kernels durably appended
+	corrupt *obs.Counter // records that failed checksum/decode
 
 	mu      sync.Mutex
 	closed  bool
@@ -55,7 +54,7 @@ type tierAppend struct {
 // briefly rather than hold unbounded kernel memory alive.
 const tierQueueDepth = 128
 
-func newStoreTier(st *store.Store, reg *stats.Registry, rec *obs.Recorder, inj *chaos.Injector) *storeTier {
+func newStoreTier(st *store.Store, reg *obs.Registry, rec *obs.Recorder, inj *chaos.Injector) *storeTier {
 	if st == nil {
 		return nil
 	}
@@ -75,7 +74,6 @@ func newStoreTier(st *store.Store, reg *stats.Registry, rec *obs.Recorder, inj *
 	// engine existed.
 	if n := st.CorruptRecords(); n > 0 {
 		t.corrupt.Add(n)
-		rec.Add(obs.CounterStoreCorrupt, n)
 	}
 	go t.run()
 	return t
@@ -95,7 +93,6 @@ func (t *storeTier) lookup(a, b string) *core.Kernel {
 			time.Sleep(d.Latency)
 		case chaos.FaultError:
 			t.misses.Inc()
-			t.rec.Add(obs.CounterStoreMisses, 1)
 			return nil
 		}
 	}
@@ -104,15 +101,12 @@ func (t *storeTier) lookup(a, b string) *core.Kernel {
 	sp.End()
 	if err == nil {
 		t.hits.Inc()
-		t.rec.Add(obs.CounterStoreHits, 1)
 		return k
 	}
 	if errors.Is(err, store.ErrCorrupt) {
 		t.corrupt.Inc()
-		t.rec.Add(obs.CounterStoreCorrupt, 1)
 	}
 	t.misses.Inc()
-	t.rec.Add(obs.CounterStoreMisses, 1)
 	return nil
 }
 
@@ -162,7 +156,6 @@ func (t *storeTier) append(p tierAppend) {
 		return
 	}
 	t.appends.Inc()
-	t.rec.Add(obs.CounterStoreAppends, 1)
 	var t0 time.Time
 	traced := t.rec.Enabled()
 	if traced {

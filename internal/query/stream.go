@@ -6,7 +6,6 @@ import (
 
 	"semilocal/internal/core"
 	"semilocal/internal/obs"
-	"semilocal/internal/stats"
 	"semilocal/internal/stream"
 )
 
@@ -28,8 +27,8 @@ type Stream struct {
 	e  *Engine
 	ss *stream.Session
 
-	appends *stats.Counter
-	slides  *stats.Counter
+	appends *obs.Counter
+	slides  *obs.Counter
 
 	cur atomic.Pointer[streamGen]
 }

@@ -6,7 +6,6 @@ import (
 
 	"semilocal/internal/core"
 	"semilocal/internal/obs"
-	"semilocal/internal/stats"
 	"semilocal/internal/stream"
 )
 
@@ -29,8 +28,8 @@ type StreamGroup struct {
 	e *Engine
 	g *stream.Group
 
-	appends *stats.Counter
-	slides  *stats.Counter
+	appends *obs.Counter
+	slides  *obs.Counter
 
 	cur []atomic.Pointer[streamGen] // per-pattern prepared-session cache
 }

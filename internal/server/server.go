@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,7 +37,6 @@ import (
 	"semilocal/internal/chaos"
 	"semilocal/internal/obs"
 	"semilocal/internal/query"
-	"semilocal/internal/stats"
 	"semilocal/internal/store"
 )
 
@@ -53,9 +51,9 @@ type Config struct {
 	// Engine.MaxKernels applies per shard, so aggregate cache capacity
 	// is Shards × MaxKernels — the horizontal-scaling knob.
 	Shards int
-	// Engine is the per-shard engine template. Stats is overridden with
-	// a private per-shard registry (see ShardStats); Obs and Chaos are
-	// shared across shards and consulted by the router itself.
+	// Engine is the per-shard engine template. Each shard engine counts
+	// in its own registry (see ShardStats); Obs and Chaos are shared
+	// across shards and consulted by the router itself.
 	Engine query.Options
 	// TenantQuota bounds each tenant's outstanding requests across the
 	// whole tier; 0 disables per-tenant admission.
@@ -75,11 +73,10 @@ type Config struct {
 	Vnodes int
 }
 
-// shardSlot is one engine shard with its private counter registry.
+// shardSlot is one engine shard.
 type shardSlot struct {
 	id  int
 	eng *query.Engine
-	reg *stats.Registry
 }
 
 // Server is the sharded serving tier. Construct with New, expose
@@ -91,7 +88,7 @@ type Server struct {
 	tenants *tenantTable
 	rec     *obs.Recorder
 	inj     *chaos.Injector
-	reg     *stats.Registry // tier-level counters
+	reg     *obs.Registry // tier-level counters
 	mux     *http.ServeMux
 	down    []atomic.Bool
 	closed  atomic.Bool
@@ -100,9 +97,9 @@ type Server struct {
 	maxBatch int
 	maxPair  int
 
-	requests *stats.Counter // requests accepted (batch requests + stream ops)
-	reroutes *stats.Counter // requests served away from their home shard
-	rejects  *stats.Counter // requests rejected by tenant quota
+	requests *obs.Counter // requests accepted (batch requests + stream ops)
+	reroutes *obs.Counter // requests served away from their home shard
+	rejects  *obs.Counter // requests rejected by tenant quota
 }
 
 // New builds the tier: the shard engines, the ring, the quota table,
@@ -132,7 +129,7 @@ func New(cfg Config) (*Server, error) {
 		tenants:  newTenantTable(cfg.TenantQuota),
 		rec:      cfg.Engine.Obs,
 		inj:      cfg.Engine.Chaos,
-		reg:      stats.NewRegistry(),
+		reg:      obs.NewRegistry(),
 		down:     make([]atomic.Bool, n),
 		maxBody:  maxBody,
 		maxBatch: maxBatch,
@@ -142,9 +139,7 @@ func New(cfg Config) (*Server, error) {
 	s.reroutes = s.reg.Counter("server_reroutes")
 	s.rejects = s.reg.Counter("tenant_rejects")
 	for i := 0; i < n; i++ {
-		opts := cfg.Engine
-		opts.Stats = stats.NewRegistry()
-		s.shards = append(s.shards, &shardSlot{id: i, eng: query.NewEngine(opts), reg: opts.Stats})
+		s.shards = append(s.shards, &shardSlot{id: i, eng: query.NewEngine(cfg.Engine)})
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/batch", s.handleBatch)
@@ -195,12 +190,13 @@ func (s *Server) healthyShards() int {
 // Stats aggregates the tier's counters: the sum of every shard's
 // engine registry plus the tier-level server_requests /
 // server_reroutes / tenant_rejects.
-func (s *Server) Stats() map[string]int64 {
-	out := s.reg.Snapshot()
+func (s *Server) Stats() map[string]int64 { return s.values().Map() }
+
+// values is the typed aggregate behind Stats.
+func (s *Server) values() obs.Values {
+	out := s.reg.Values()
 	for _, sh := range s.shards {
-		for k, v := range sh.reg.Snapshot() {
-			out[k] += v
-		}
+		out = out.Merge(sh.eng.Registry().Values())
 	}
 	return out
 }
@@ -211,35 +207,12 @@ func (s *Server) ShardStats(i int) map[string]int64 {
 	if i < 0 || i >= len(s.shards) {
 		return nil
 	}
-	return s.shards[i].reg.Snapshot()
+	return s.shards[i].eng.Stats()
 }
 
 // StatsLine renders the aggregate counters as a stable one-line
 // summary (sorted names), mirroring Engine.StatsLine.
-func (s *Server) StatsLine() string {
-	snap := s.Stats()
-	names := make([]string, 0, len(snap))
-	for name := range snap {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	parts := make([]string, len(names))
-	for i, name := range names {
-		parts[i] = fmt.Sprintf("%s=%d", name, snap[name])
-	}
-	return sortedJoin(parts)
-}
-
-func sortedJoin(parts []string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += " "
-		}
-		out += p
-	}
-	return out
-}
+func (s *Server) StatsLine() string { return s.values().String() }
 
 // route picks the shard for input pair (a, b): the content hash's home
 // shard on the ring, or — when chaos killed it for this arrival or it
@@ -270,7 +243,6 @@ func (s *Server) route(a, b []byte) (*shardSlot, error) {
 	}
 	if id != home {
 		s.reroutes.Inc()
-		s.rec.Add(obs.CounterServerReroutes, 1)
 	}
 	return s.shards[id], nil
 }
@@ -333,7 +305,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	n := len(br.Requests)
 	s.requests.Add(int64(n))
-	s.rec.Add(obs.CounterServerRequests, int64(n))
 	results := make([]WireResult, n)
 
 	// Tenant admission at arrival, mirroring the engine's MaxQueue
@@ -344,7 +315,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if admitted < n {
 		rejected := int64(n - admitted)
 		s.rejects.Add(rejected)
-		s.rec.Add(obs.CounterTenantRejects, rejected)
 		for i := admitted; i < n; i++ {
 			results[i] = WireResult{Shard: -1, Error: ErrTenantQuota.Error(), ErrorKind: errorKind(ErrTenantQuota)}
 		}
@@ -398,14 +368,12 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	n := len(sr.Ops)
 	s.requests.Add(int64(n))
-	s.rec.Add(obs.CounterServerRequests, int64(n))
 
 	// Stream scripts admit all-or-nothing: ops are stateful and ordered,
 	// so shedding a prefix would corrupt the meaning of the suffix.
 	if admitted := s.tenants.admit(sr.Tenant, n); admitted < n {
 		s.tenants.release(sr.Tenant, admitted)
 		s.rejects.Add(int64(n))
-		s.rec.Add(obs.CounterTenantRejects, int64(n))
 		httpError(w, http.StatusTooManyRequests, ErrTenantQuota.Error())
 		return
 	}
@@ -495,13 +463,11 @@ func (s *Server) handleStreamGroup(w http.ResponseWriter, r *http.Request, sr St
 	}
 	n := len(sr.Ops)
 	s.requests.Add(int64(n))
-	s.rec.Add(obs.CounterServerRequests, int64(n))
 
 	// All-or-nothing admission, as for single-pattern scripts.
 	if admitted := s.tenants.admit(sr.Tenant, n); admitted < n {
 		s.tenants.release(sr.Tenant, admitted)
 		s.rejects.Add(int64(n))
-		s.rec.Add(obs.CounterTenantRejects, int64(n))
 		httpError(w, http.StatusTooManyRequests, ErrTenantQuota.Error())
 		return
 	}
@@ -619,7 +585,8 @@ func (s *Server) streamOp(ctx context.Context, st *query.Stream, op WireOp) Stre
 
 // handleMetrics serves the Prometheus text exposition: the shared
 // stage histograms and obs counters, the aggregate engine counters,
-// and the per-shard counter split under semilocal_shard_counter.
+// and the per-shard split under semilocal_shard_counter and
+// semilocal_shard_gauge.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		httpError(w, http.StatusMethodNotAllowed, "server: GET only")
@@ -629,23 +596,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.WriteMetrics(w)
 }
 
-// WriteMetrics writes the full exposition to w (also used by the CLI's
-// final-report mode and the tests).
+// WriteMetrics writes the full exposition that /metrics serves to w.
 func (s *Server) WriteMetrics(w io.Writer) {
-	obs.WriteMetrics(w, s.rec.Snapshot(), s.Stats())
-	fmt.Fprintf(w, "# HELP semilocal_shard_counter Per-shard engine counters.\n")
-	fmt.Fprintf(w, "# TYPE semilocal_shard_counter gauge\n")
-	for _, sh := range s.shards {
-		snap := sh.reg.Snapshot()
-		names := make([]string, 0, len(snap))
-		for name := range snap {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			fmt.Fprintf(w, "semilocal_shard_counter{shard=\"%d\",name=%q} %d\n", sh.id, name, snap[name])
-		}
+	shards := make([]obs.Values, len(s.shards))
+	for i, sh := range s.shards {
+		shards[i] = sh.eng.Registry().Values()
 	}
+	obs.WriteMetrics(w, s.rec.Snapshot(), s.values(), shards...)
 	fmt.Fprintf(w, "# HELP semilocal_shard_healthy Shard health (1 = routable).\n")
 	fmt.Fprintf(w, "# TYPE semilocal_shard_healthy gauge\n")
 	for i := range s.down {

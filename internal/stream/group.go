@@ -61,7 +61,7 @@ type GroupConfig struct {
 	Pool *parallel.Pool
 }
 
-/// GroupState is one published group generation: an immutable snapshot
+// GroupState is one published group generation: an immutable snapshot
 // of the shared window's shape. Per-pattern kernels are read through
 // Snapshot.
 type GroupState struct {

@@ -125,9 +125,6 @@ const (
 	CounterGridTiles    = obs.CounterGridTiles
 	CounterBitBlocks    = obs.CounterBitBlocks
 	CounterOpenSpans    = obs.CounterOpenSpans
-	CounterRetries      = obs.CounterRetries
-	CounterSheds        = obs.CounterSheds
-	CounterDegradations = obs.CounterDegradations
 	CounterFaults       = obs.CounterFaultsInjected
 )
 
@@ -410,12 +407,11 @@ func BandedLCS(a, b []byte, maxD int) (int, bool) {
 	return banded.LCSScoreBounded(a, b, maxD)
 }
 
-// Banded stages and counters for StageRecorder consumers.
+// Banded stages for StageRecorder consumers. The dispatch counts
+// (requests_banded, band_fallbacks) are in Engine.Stats.
 const (
-	StageBandProbe        = obs.StageBandProbe        // the dispatcher's divergence probe
-	StageBandedBFS        = obs.StageBandedBFS        // one banded diagonal-BFS solve
-	CounterBandedRequests = obs.CounterBandedRequests // requests_banded
-	CounterBandFallbacks  = obs.CounterBandFallbacks  // band_fallbacks
+	StageBandProbe = obs.StageBandProbe // the dispatcher's divergence probe
+	StageBandedBFS = obs.StageBandedBFS // one banded diagonal-BFS solve
 )
 
 // Persistent kernel store: a crash-safe, content-hash-keyed append log
@@ -459,15 +455,13 @@ func StoreKeyOf(a, b []byte) store.Key {
 	return store.KeyOf(a, b)
 }
 
-// Store stages and counters for StageRecorder consumers.
+// Store stages for StageRecorder consumers. The store counters
+// (store_hits, store_misses, store_appends, store_corrupt_records) are
+// in Engine.Stats.
 const (
-	StageStoreRead      = obs.StageStoreRead      // one store lookup on a cache miss
-	StageStoreAppend    = obs.StageStoreAppend    // one background store append
-	StageStoreCompact   = obs.StageStoreCompact   // one compaction pass
-	CounterStoreHits    = obs.CounterStoreHits    // store_hits
-	CounterStoreMisses  = obs.CounterStoreMisses  // store_misses
-	CounterStoreAppends = obs.CounterStoreAppends // store_appends
-	CounterStoreCorrupt = obs.CounterStoreCorrupt // store_corrupt_records
+	StageStoreRead    = obs.StageStoreRead    // one store lookup on a cache miss
+	StageStoreAppend  = obs.StageStoreAppend  // one background store append
+	StageStoreCompact = obs.StageStoreCompact // one compaction pass
 )
 
 // Network serving tier: N engine shards behind consistent hashing on
@@ -506,13 +500,12 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	return server.New(cfg)
 }
 
-// Serving-tier stages and counters for StageRecorder consumers.
+// Serving-tier stages for StageRecorder consumers. The tier counters
+// (server_requests, server_reroutes, tenant_rejects) are in
+// Server.Stats.
 const (
-	StageServerRequest    = obs.StageServerRequest    // one HTTP call end to end
-	StageServerRoute      = obs.StageServerRoute      // ring lookup + failover walk
-	CounterServerRequests = obs.CounterServerRequests // server_requests
-	CounterServerReroutes = obs.CounterServerReroutes // server_reroutes
-	CounterTenantRejects  = obs.CounterTenantRejects  // tenant_rejects
+	StageServerRequest = obs.StageServerRequest // one HTTP call end to end
+	StageServerRoute   = obs.StageServerRoute   // ring lookup + failover walk
 )
 
 // Autotuning: the solvers carry a handful of machine-dependent
