@@ -104,14 +104,14 @@ check-store:
 	go test -run 'TestStore|TestKernelIO' ./internal/store ./internal/query ./internal/core
 	go test -fuzz FuzzStoreOpen -fuzztime 10s ./internal/store
 
-# Serving-tier lane: the sharded HTTP serving tier end to end under
-# the race detector — the differential wall (HTTP answers bit-identical
-# to direct engine calls for every query family, including under
-# benign chaos), the consistent-hash ring property tests (balance,
-# minimal movement on add/remove), the shard-kill degradation drills,
-# tenant-quota admission, the 8-client live-server soak with quiescent
-# counter exactness, the CLI -serve-addr e2e and flag-rule tests, the
-# loadgen harness smoke, and a fuzz smoke of the request decoder.
+# Serving-tier lane: the HTTP serving tier end to end under the race
+# detector — the differential wall (HTTP answers bit-identical to
+# direct engine calls for every query family, including under benign
+# chaos, and typed errors under error chaos), tenant-quota admission,
+# the /healthz open/closed contract, the 8-client live-server soak with
+# quiescent counter exactness, the engine's content-keyed global-LRU
+# tests, the CLI -serve-addr e2e and flag-rule tests, the loadgen
+# harness smoke, and a fuzz smoke of the request decoder.
 check-server:
 	go test -race ./internal/server ./internal/query ./cmd/semilocal ./cmd/loadgen
 	go test -fuzz FuzzServerRequest -fuzztime 10s ./internal/server
@@ -147,7 +147,7 @@ bench:
 # hot path should not (inspect with -benchmem locally).
 bench-smoke:
 	go test -run '^$$' -bench . -benchtime 1x ./...
-	go run ./cmd/loadgen -shards 2 -clients 4 -duration 1s -hot 8 -size 128
+	go run ./cmd/loadgen -clients 4 -duration 1s -hot 8 -size 128
 
 # Regenerate every figure of the paper at moderate sizes.
 figures:

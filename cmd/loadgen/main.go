@@ -1,5 +1,5 @@
-// Command loadgen is the closed-loop load harness for the sharded
-// serving tier: N client goroutines drive /v1/batch over real HTTP,
+// Command loadgen is the closed-loop load harness for the serving
+// tier: N client goroutines drive /v1/batch over real HTTP,
 // each waiting for its response before issuing the next call
 // (closed-loop, so the tier is never asked for more concurrency than
 // -clients), optionally paced to an aggregate target QPS. The workload
@@ -9,16 +9,16 @@
 // solve). Per-request latencies accumulate into the observability
 // layer's mergeable power-of-two histograms, and the run ends with a
 // latency-SLO report: achieved QPS, quantiles, the fraction of
-// requests inside -slo, and the tier's cache/reroute counters.
+// requests inside -slo, and the tier's cache counters.
 //
 // Point it at a running server with -target, or let it self-host a
-// tier in process (-shards, -kernels) for reproducible scaling
+// tier in process (-kernels sets its cache capacity) for reproducible
 // experiments:
 //
-//	go run ./cmd/loadgen -shards 4 -clients 8 -duration 5s \
-//	    -hit-permille 900 -hot 48 -size 256
+//	go run ./cmd/loadgen -kernels 64 -clients 8 -duration 4s \
+//	    -hit-permille 1000 -hot 48 -size 256 -seed 7
 //
-// (see EXPERIMENTS.md for the recorded 1-vs-4-shard runs).
+// (see EXPERIMENTS.md for the recorded runs).
 package main
 
 import (
@@ -48,7 +48,6 @@ func main() {
 
 type config struct {
 	target      string
-	shards      int
 	kernels     int
 	clients     int
 	duration    time.Duration
@@ -65,8 +64,7 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
 	var cfg config
 	fs.StringVar(&cfg.target, "target", "", "base URL of a running serving tier (empty = self-host in process)")
-	fs.IntVar(&cfg.shards, "shards", 1, "self-host: engine shard count")
-	fs.IntVar(&cfg.kernels, "kernels", 16, "self-host: cached kernels per shard (the horizontal-capacity knob)")
+	fs.IntVar(&cfg.kernels, "kernels", 16, "self-host: cached kernel capacity of the engine")
 	fs.IntVar(&cfg.clients, "clients", 8, "concurrent closed-loop clients")
 	fs.DurationVar(&cfg.duration, "duration", 5*time.Second, "run length")
 	fs.IntVar(&cfg.qps, "qps", 0, "aggregate target request rate (0 = unpaced closed loop)")
@@ -91,7 +89,6 @@ func run(args []string, out io.Writer) error {
 	if base == "" {
 		var err error
 		srv, err = semilocal.NewServer(semilocal.ServerConfig{
-			Shards: cfg.shards,
 			Engine: semilocal.EngineOptions{MaxKernels: cfg.kernels},
 		})
 		if err != nil {
@@ -106,7 +103,7 @@ func run(args []string, out io.Writer) error {
 		go hs.Serve(ln)
 		defer hs.Close()
 		base = "http://" + ln.Addr().String()
-		fmt.Fprintf(out, "# self-hosting %d shard(s) × %d kernels at %s\n", cfg.shards, cfg.kernels, base)
+		fmt.Fprintf(out, "# self-hosting %d kernels at %s\n", cfg.kernels, base)
 	}
 	return drive(cfg, base, srv, out)
 }
@@ -240,9 +237,9 @@ func drive(cfg config, base string, srv *semilocal.Server, out io.Writer) error 
 	fmt.Fprintf(out, "slo(%v)=%.1f%%\n", cfg.slo, 100*float64(within)/float64(calls))
 	if srv != nil {
 		stats := srv.Stats()
-		fmt.Fprintf(out, "tier: hits=%d misses=%d sheds=%d reroutes=%d tenant-rejects=%d\n",
-			stats["cache_hits"], stats["cache_misses"], stats["requests_shed"],
-			stats["server_reroutes"], stats["tenant_rejects"])
+		fmt.Fprintf(out, "tier: hits=%d misses=%d evictions=%d sheds=%d tenant-rejects=%d\n",
+			stats["cache_hits"], stats["cache_misses"], stats["cache_evictions"],
+			stats["requests_shed"], stats["tenant_rejects"])
 	}
 	return nil
 }

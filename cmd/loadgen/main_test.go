@@ -13,7 +13,7 @@ import (
 func TestLoadgenSmoke(t *testing.T) {
 	var out bytes.Buffer
 	err := run([]string{
-		"-shards", "2", "-clients", "4", "-duration", "300ms",
+		"-clients", "4", "-duration", "300ms",
 		"-hot", "8", "-size", "64", "-hit-permille", "800", "-batch", "2",
 	}, &out)
 	if err != nil {
@@ -21,7 +21,7 @@ func TestLoadgenSmoke(t *testing.T) {
 	}
 	text := out.String()
 	for _, want := range []string{
-		"# self-hosting 2 shard(s)",
+		"# self-hosting 16 kernels",
 		"calls=", "qps=", "call-errors=0", "request-errors=0",
 		"latency p50=", "slo(50ms)=",
 		"tier: hits=",
@@ -37,7 +37,7 @@ func TestLoadgenSmoke(t *testing.T) {
 func TestLoadgenPaced(t *testing.T) {
 	var out bytes.Buffer
 	err := run([]string{
-		"-shards", "1", "-clients", "2", "-duration", "500ms",
+		"-clients", "2", "-duration", "500ms",
 		"-qps", "100", "-hot", "4", "-size", "64",
 	}, &out)
 	if err != nil {

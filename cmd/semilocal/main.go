@@ -156,8 +156,7 @@ func run(args []string, out io.Writer) error {
 	bandedMode := fs.Bool("banded", false, "route distance-only work through the banded diagonal-BFS fast path (score subcommand and -serve-batch)")
 	bandMaxK := fs.Int("band-max-k", 0, "with -banded: edit budget of the band (0 = derive from the measured crossover)")
 	storeDir := fs.String("store-dir", "", "with -serve-batch: back the kernel cache with a persistent on-disk store in this directory (crash-safe, shared across runs)")
-	serveAddr := fs.String("serve-addr", "", "run the sharded HTTP serving tier on this address (e.g. :8080) until SIGINT/SIGTERM; the engine flags apply per shard")
-	shards := fs.Int("shards", 0, "with -serve-addr: engine shard count behind the consistent-hash ring (0 = 1)")
+	serveAddr := fs.String("serve-addr", "", "run the HTTP serving tier on this address (e.g. :8080) until SIGINT/SIGTERM; the engine flags configure its engine")
 	tenantQuota := fs.Int("tenant-quota", 0, "with -serve-addr: per-tenant bound on outstanding requests across the tier (0 = unlimited)")
 	calibrate := fs.String("calibrate", "", "micro-benchmark the parameter grid on this machine and write the winning profile to this path")
 	tinyGrid := fs.Bool("tiny-grid", false, "with -calibrate: sweep the reduced CI grid instead of the full one")
@@ -191,7 +190,6 @@ func run(args []string, out io.Writer) error {
 		"-chaos":         *chaosSpec != "",
 		"-store-dir":     *storeDir != "",
 		"-serve-addr":    *serveAddr != "",
-		"-shards":        *shards != 0,
 		"-tenant-quota":  *tenantQuota != 0,
 		"-calibrate":     *calibrate != "",
 		"-tiny-grid":     *tinyGrid,
@@ -246,7 +244,7 @@ func run(args []string, out io.Writer) error {
 			opts.chaosSeed = *chaosSeed
 		}
 		if *serveAddr != "" {
-			return runServe(*serveAddr, *shards, *tenantQuota, opts, out)
+			return runServe(*serveAddr, *tenantQuota, opts, out)
 		}
 		if *batch != "" {
 			return runBatch(*batch, opts, out)
@@ -320,7 +318,6 @@ var flagRules = []flagRule{
 	{flag: "-degrade-below", requiresAny: []string{"-serve-batch", "-stream", "-serve-addr"}},
 	{flag: "-chaos", requiresAny: []string{"-serve-batch", "-stream", "-serve-addr"}},
 	{flag: "-store-dir", requiresAny: []string{"-serve-batch", "-serve-addr"}},
-	{flag: "-shards", requiresAny: []string{"-serve-addr"}},
 	{flag: "-tenant-quota", requiresAny: []string{"-serve-addr"}},
 	{flag: "-calibrate", conflicts: []string{"-serve-batch", "-stream", "-serve-addr", "-edit", "-banded", "-profile", "-trace-stages"}},
 	{flag: "-tiny-grid", requiresAny: []string{"-calibrate"}},

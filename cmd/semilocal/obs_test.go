@@ -157,7 +157,7 @@ func TestMetricsEndpoints(t *testing.T) {
 }
 
 // TestExpositionWellFormed parses the two Prometheus expositions — the
-// CLI -metrics - dump and a live two-shard Server.WriteMetrics — and
+// CLI -metrics - dump and a live default-config Server.WriteMetrics — and
 // checks that every sample sits in a family declared by exactly one
 // # TYPE line, that no series repeats, and that each value is exported
 // with its kind: monotonic values under counter families, values that
@@ -168,7 +168,7 @@ func TestExpositionWellFormed(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv, err := server.New(server.Config{Shards: 2, Engine: query.Options{Obs: obs.New()}})
+	srv, err := server.New(server.Config{Engine: query.Options{Obs: obs.New()}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,15 +27,13 @@ var (
 	serveStop <-chan struct{}
 )
 
-// runServe runs the sharded HTTP serving tier (-serve-addr): N engine
-// shards behind consistent hashing on the kernel-cache content key,
-// sharing one stage recorder, chaos injector and (optionally) one
-// persistent kernel store. The engine hardening flags (-max-queue,
-// -retries, -deadline, -degrade-below, -chaos, -banded, -store-dir)
-// apply per shard; -tenant-quota layers tier-wide per-tenant admission
-// on top. Blocks until SIGINT/SIGTERM, then drains and prints the
+// runServe runs the HTTP serving tier (-serve-addr): one engine with a
+// stage recorder, an optional chaos injector and an optional persistent
+// kernel store. The engine hardening flags (-max-queue, -retries,
+// -deadline, -degrade-below, -chaos, -banded, -store-dir) configure
+// that engine; -tenant-quota layers per-tenant admission on top. Blocks until SIGINT/SIGTERM, then drains and prints the
 // final counters.
-func runServe(addr string, shards, tenantQuota int, opts batchOptions, out io.Writer) error {
+func runServe(addr string, tenantQuota int, opts batchOptions, out io.Writer) error {
 	rec := semilocal.NewStageRecorder()
 	var inj *semilocal.ChaosInjector
 	if len(opts.chaosRules) > 0 {
@@ -54,12 +52,11 @@ func runServe(addr string, shards, tenantQuota int, opts batchOptions, out io.Wr
 		if err != nil {
 			return err
 		}
-		// Closed after the server: Server.Close drains the shard engines'
+		// Closed after the server: Server.Close drains the engine's
 		// pending appends first.
 		defer kstore.Close()
 	}
 	srv, err := semilocal.NewServer(semilocal.ServerConfig{
-		Shards:      shards,
 		TenantQuota: tenantQuota,
 		Engine: semilocal.EngineOptions{
 			Config:   semilocal.Config{Algorithm: opts.algorithm},
@@ -90,8 +87,7 @@ func runServe(addr string, shards, tenantQuota int, opts batchOptions, out io.Wr
 	hs := &http.Server{Handler: srv.Handler()}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
-	fmt.Fprintf(out, "# serving: %d shard(s) on http://%s (POST /v1/batch, /v1/stream; GET /metrics, /healthz)\n",
-		srv.Shards(), ln.Addr())
+	fmt.Fprintf(out, "# serving: http://%s (POST /v1/batch, /v1/stream; GET /metrics, /healthz)\n", ln.Addr())
 	if serveReady != nil {
 		serveReady(ln.Addr().String())
 	}

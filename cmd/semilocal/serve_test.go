@@ -26,7 +26,7 @@ func TestServeAddrEndToEnd(t *testing.T) {
 	var out bytes.Buffer
 	done := make(chan error, 1)
 	go func() {
-		done <- run([]string{"-serve-addr", "127.0.0.1:0", "-shards", "3", "-tenant-quota", "8"}, &out)
+		done <- run([]string{"-serve-addr", "127.0.0.1:0", "-tenant-quota", "8"}, &out)
 	}()
 	addr := <-ready
 	base := "http://" + addr
@@ -81,8 +81,8 @@ func TestServeAddrEndToEnd(t *testing.T) {
 		if r.StatusCode != http.StatusOK {
 			t.Errorf("GET %s = %d", path, r.StatusCode)
 		}
-		if path == "/metrics" && !strings.Contains(string(raw), `semilocal_shard_counter{shard="2"`) {
-			t.Errorf("metrics missing per-shard counters for shard 2")
+		if path == "/metrics" && !strings.Contains(string(raw), `semilocal_engine_counter{name="server_requests"} 4`) {
+			t.Errorf("metrics missing the tier request counter")
 		}
 	}
 
@@ -91,7 +91,7 @@ func TestServeAddrEndToEnd(t *testing.T) {
 		t.Fatalf("run: %v", err)
 	}
 	text := out.String()
-	if !strings.Contains(text, "# serving: 3 shard(s) on http://"+addr) {
+	if !strings.Contains(text, "# serving: http://"+addr) {
 		t.Errorf("output missing serving banner: %q", text)
 	}
 	if !strings.Contains(text, "server_requests=4") {
@@ -108,13 +108,11 @@ func TestServeFlagRules(t *testing.T) {
 		args    []string
 		wantErr string
 	}{
-		{"shards alone", []string{"-shards", "4", "-a-text", "AB", "-b-text", "BA", "score"}, "-shards requires -serve-addr"},
 		{"tenant-quota alone", []string{"-tenant-quota", "8", "-a-text", "AB", "-b-text", "BA", "score"}, "-tenant-quota requires -serve-addr"},
 		{"serve-addr+serve-batch", []string{"-serve-addr", ":0", "-serve-batch", "/nope"}, "-serve-addr cannot be combined with -serve-batch"},
 		{"serve-addr+stream", []string{"-serve-addr", ":0", "-stream", "/nope", "-a-text", "AB"}, "cannot be combined"},
 		{"serve-addr+edit", []string{"-serve-addr", ":0", "-edit"}, "-serve-addr cannot be combined with -edit"},
 		{"serve-addr+metrics", []string{"-serve-addr", ":0", "-metrics", "-"}, "-serve-addr cannot be combined with -metrics"},
-		{"serve-addr bad shards", []string{"-serve-addr", "127.0.0.1:0", "-shards", "65"}, "out of [1,64]"},
 		{"serve-addr bad chaos", []string{"-serve-addr", "127.0.0.1:0", "-chaos", "nonsense"}, "-chaos"},
 	}
 	for _, tc := range cases {
@@ -138,10 +136,10 @@ func TestServeFlagRules(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- run([]string{
-			"-serve-addr", "127.0.0.1:0", "-shards", "2", "-tenant-quota", "4",
+			"-serve-addr", "127.0.0.1:0", "-tenant-quota", "4",
 			"-max-queue", "16", "-retries", "2", "-retry-backoff", "1ms",
 			"-deadline", "1s", "-degrade-below", "10ms",
-			"-chaos", "shard:latency:10:1ms", "-store-dir", t.TempDir(),
+			"-chaos", "acquire:latency:10:1ms", "-store-dir", t.TempDir(),
 		}, io.Discard)
 	}()
 	addr := <-ready

@@ -70,20 +70,13 @@ const (
 	// ordinary solve-from-scratch, a failed append skips persisting
 	// that one kernel, and answers stay bit-identical either way.
 	PointStore
-	// PointShard fires when the sharded serving tier routes a request to
-	// its home engine shard (latency, error). An injected error "kills"
-	// the home shard for that arrival — the router walks the consistent-
-	// hash ring to the next healthy shard, so the tier degrades to a
-	// colder cache instead of failing; injected latency models one slow
-	// shard. Answers stay bit-identical either way.
-	PointShard
 	// NumPoints bounds the Point enum.
 	NumPoints
 )
 
 var pointNames = [NumPoints]string{
 	"solve", "solve-finish", "acquire", "publish", "query", "worker",
-	"stream", "banded", "store", "shard",
+	"stream", "banded", "store",
 }
 
 func (p Point) String() string {
@@ -158,7 +151,7 @@ func (f Fault) validAt(p Point) bool {
 	case FaultLatency:
 		return true
 	case FaultError:
-		return p == PointSolveStart || p == PointSolveFinish || p == PointStream || p == PointBanded || p == PointStore || p == PointShard
+		return p == PointSolveStart || p == PointSolveFinish || p == PointStream || p == PointBanded || p == PointStore
 	case FaultCancel:
 		return p == PointAcquire || p == PointQuery
 	case FaultEvict:

@@ -2,7 +2,7 @@
 // timers on the monotonic clock, lock-free sharded counters, and
 // fixed-bucket latency histograms with mergeable snapshots, threaded
 // through the kernel solvers and the query engine as a *Recorder. The
-// serving layers (query engine, store tier, sharded server) count their
+// serving layers (query engine, store tier, HTTP server) count their
 // events in a Registry of named counters and gauges instead.
 //
 // The cardinal design rule is that a nil *Recorder is the disabled
@@ -101,13 +101,9 @@ const (
 	// records into a fresh log once dead bytes crossed the threshold.
 	StageStoreCompact
 	// StageServerRequest is one HTTP serving-tier request end to end:
-	// decode, tenant admission, shard routing, the per-shard engine
-	// batches, and response encoding.
+	// decode, tenant admission, the engine batch or stream script, and
+	// response encoding.
 	StageServerRequest
-	// StageServerRoute is the shard-routing step of one serving-tier
-	// request: the content-hash ring lookup plus any chaos- or
-	// health-driven walk to a successor shard.
-	StageServerRoute
 	// StageTuneProbe is one calibration micro-benchmark: a timed sweep
 	// of a single parameter-grid point (internal/tune).
 	StageTuneProbe
@@ -131,7 +127,7 @@ var stageNames = [NumStages]string{
 	"backoff", "stream_append", "stream_compose",
 	"band_probe", "banded_bfs",
 	"store_read", "store_append", "store_compact",
-	"server_request", "server_route",
+	"server_request",
 	"tune_probe",
 	"stream_group_append", "stream_group_fanout",
 }

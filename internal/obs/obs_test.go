@@ -151,8 +151,7 @@ func TestWriteMetricsShape(t *testing.T) {
 	r.Observe(StageSolve, time.Millisecond)
 	var sb strings.Builder
 	engine := Values{{"cache_bytes", KindGauge, 9}, {"cache_hits", KindCounter, 2}}
-	shard := Values{{"cache_hits", KindCounter, 2}}
-	WriteMetrics(&sb, r.Snapshot(), engine, shard, shard)
+	WriteMetrics(&sb, r.Snapshot(), engine)
 	out := sb.String()
 	for _, want := range []string{
 		"# TYPE semilocal_stage_duration_seconds histogram",
@@ -163,8 +162,6 @@ func TestWriteMetricsShape(t *testing.T) {
 		"semilocal_obs_compose_depth_max 0",
 		"# TYPE semilocal_engine_counter counter\n" + `semilocal_engine_counter{name="cache_hits"} 2`,
 		"# TYPE semilocal_engine_gauge gauge\n" + `semilocal_engine_gauge{name="cache_bytes"} 9`,
-		`semilocal_shard_counter{shard="0",name="cache_hits"} 2` + "\n" + `semilocal_shard_counter{shard="1",name="cache_hits"} 2`,
-		"# TYPE semilocal_shard_gauge gauge",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("metrics output missing %q:\n%s", want, out)

@@ -52,7 +52,7 @@ func (g *Gauge) Load() int64 { return g.v.Load() }
 
 // Registry is a concurrency-safe set of named counters and gauges: the
 // serving-layer counters of the query engine, its store tier and the
-// sharded server. Values register lazily on first use, so a layer that
+// HTTP server. Values register lazily on first use, so a layer that
 // never runs adds nothing to the snapshot. The zero value is not
 // usable; construct with NewRegistry.
 type Registry struct {
@@ -129,8 +129,8 @@ func (r *Registry) Snapshot() map[string]int64 { return r.Values().Map() }
 func (vs Values) sortByName() { sort.Slice(vs, func(i, j int) bool { return vs[i].Name < vs[j].Name }) }
 
 // Merge returns the name-wise sum of vs and o, sorted by name — the
-// aggregate of several registries that count the same events, such as
-// a server's engine shards.
+// union of several registries, such as a server's tier counters and
+// its engine's.
 func (vs Values) Merge(o Values) Values {
 	out := append(Values(nil), vs...)
 	at := make(map[string]int, len(out))

@@ -106,14 +106,13 @@ func (s Snapshot) WriteBreakdown(w io.Writer) {
 }
 
 // WriteMetrics renders the snapshot and the engine registry values in
-// the Prometheus text exposition format; shards, when given, add the
-// per-shard split labelled by shard index. Registry values render under
+// the Prometheus text exposition format. Registry values render under
 // a counter family or a gauge family by the kind each was registered
 // with. Stage histograms appear only once they have observations (so
 // scrape output stays proportional to what actually ran); counters
 // always appear, with a stable ordering throughout — the metrics golden
 // test pins the exact shape.
-func WriteMetrics(w io.Writer, s Snapshot, engine Values, shards ...Values) {
+func WriteMetrics(w io.Writer, s Snapshot, engine Values) {
 	fmt.Fprintf(w, "# HELP semilocal_stage_duration_seconds Latency of one solver or serving stage.\n")
 	fmt.Fprintf(w, "# TYPE semilocal_stage_duration_seconds histogram\n")
 	for st := Stage(0); st < NumStages; st++ {
@@ -145,28 +144,18 @@ func WriteMetrics(w io.Writer, s Snapshot, engine Values, shards ...Values) {
 	fmt.Fprintf(w, "# HELP semilocal_obs_compose_depth_max Deepest observed steady-ant recursion.\n")
 	fmt.Fprintf(w, "# TYPE semilocal_obs_compose_depth_max gauge\n")
 	fmt.Fprintf(w, "semilocal_obs_compose_depth_max %d\n", s.ComposeDepthMax)
-	writeValues(w, "semilocal_engine", "Query engine", []string{""}, []Values{engine})
-	if len(shards) > 0 {
-		labels := make([]string, len(shards))
-		for i := range labels {
-			labels[i] = fmt.Sprintf("shard=\"%d\",", i)
-		}
-		writeValues(w, "semilocal_shard", "Per-shard engine", labels, shards)
-	}
+	writeValues(w, "semilocal_engine", "Query engine", engine)
 }
 
-// writeValues renders registry value sets as two families,
-// <prefix>_counter and <prefix>_gauge; labels[i] prefixes the label set
-// of every sample from sets[i].
-func writeValues(w io.Writer, prefix, help string, labels []string, sets []Values) {
+// writeValues renders one registry value set as two families,
+// <prefix>_counter and <prefix>_gauge.
+func writeValues(w io.Writer, prefix, help string, vs Values) {
 	for _, k := range []Kind{KindCounter, KindGauge} {
 		fmt.Fprintf(w, "# HELP %s_%s %s %ss.\n", prefix, k, help, k)
 		fmt.Fprintf(w, "# TYPE %s_%s %s\n", prefix, k, k)
-		for i, vs := range sets {
-			for _, v := range vs {
-				if v.Kind == k {
-					fmt.Fprintf(w, "%s_%s{%sname=%q} %d\n", prefix, k, labels[i], v.Name, v.N)
-				}
+		for _, v := range vs {
+			if v.Kind == k {
+				fmt.Fprintf(w, "%s_%s{name=%q} %d\n", prefix, k, v.Name, v.N)
 			}
 		}
 	}

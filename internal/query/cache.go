@@ -3,36 +3,31 @@ package query
 import (
 	"container/list"
 	"context"
-	"hash/fnv"
+	"sync"
 	"time"
 
 	"semilocal/internal/chaos"
 	"semilocal/internal/core"
 	"semilocal/internal/obs"
-	"sync"
+	"semilocal/internal/store"
 )
 
-// cacheKey identifies one cached session. The full input strings are
-// kept (not just their hashes) so a hash collision can never serve the
-// wrong kernel; the hash is only used to pick a shard. core.Config is a
-// comparable struct, so the whole key is comparable.
+// cacheKey identifies one cached session: the input pair alone. A
+// pair's kernel is unique — every algorithm computes the same seaweed
+// permutation (the store's all-configs differential test pins this) —
+// so the solve configuration is not part of the key. The full input
+// strings are kept (not just a hash of them) so a hash collision can
+// never serve the wrong kernel.
 type cacheKey struct {
 	a, b string
-	cfg  core.Config
-}
-
-func (k cacheKey) shardOf(n int) int {
-	h := fnv.New32a()
-	h.Write([]byte(k.a))
-	h.Write([]byte{0xff})
-	h.Write([]byte(k.b))
-	return int(h.Sum32()) % n
 }
 
 // flight is one in-progress solve that concurrent requests for the same
-// key attach to instead of solving again (singleflight).
+// key attach to instead of solving again (singleflight). cfg is the
+// first requester's configuration: it decides how the miss is solved.
 type flight struct {
 	done chan struct{} // closed when sess/err are set
+	cfg  core.Config
 	sess *Session
 	err  error
 }
@@ -43,26 +38,22 @@ type entry struct {
 	sess *Session
 }
 
-// shard is an independently locked slice of the cache: an LRU of
-// resident sessions plus the in-flight solve table.
-type shard struct {
+// cache is the LRU session cache with singleflight dedup: one lock,
+// one map of resident sessions, one recency list, and one global
+// capacity. When a persistent store tier is attached, it sits under
+// the LRU as a write-through second tier: the singleflight spans both
+// tiers, so at most one goroutine per key reads the store or solves.
+type cache struct {
 	mu       sync.Mutex
 	resident map[cacheKey]*list.Element // values are *entry
 	lru      *list.List                 // front = most recently used
 	inflight map[cacheKey]*flight
 	capacity int
-}
 
-// cache is the sharded LRU session cache with singleflight dedup.
-// When a persistent store tier is attached, it sits under the LRU as a
-// write-through second tier: the singleflight spans both tiers, so at
-// most one goroutine per key reads the store or solves.
-type cache struct {
-	shards []*shard
-	solve  func(a, b []byte, cfg core.Config) (*core.Kernel, error)
-	rec    *obs.Recorder
-	inj    *chaos.Injector
-	tier   *storeTier // nil when no persistent store is configured
+	solve func(a, b []byte, cfg core.Config) (*core.Kernel, error)
+	rec   *obs.Recorder
+	inj   *chaos.Injector
+	tier  *storeTier // nil when no persistent store is configured
 
 	hits      *obs.Counter // request served by a resident session
 	misses    *obs.Counter // request started a solve
@@ -71,17 +62,15 @@ type cache struct {
 	bytes     *obs.Gauge   // resident session bytes
 }
 
-func newCache(shards, capacity int, reg *obs.Registry, rec *obs.Recorder, inj *chaos.Injector, tn *core.Tuning, tier *storeTier) *cache {
-	if shards < 1 {
-		shards = 1
-	}
-	if capacity < shards {
-		// Every shard owns at least one slot so a live working set of one
-		// key per shard can never thrash.
-		capacity = shards
+func newCache(capacity int, reg *obs.Registry, rec *obs.Recorder, inj *chaos.Injector, tn *core.Tuning, tier *storeTier) *cache {
+	if capacity < 1 {
+		capacity = 1
 	}
 	c := &cache{
-		shards:    make([]*shard, shards),
+		resident:  make(map[cacheKey]*list.Element),
+		lru:       list.New(),
+		inflight:  make(map[cacheKey]*flight),
+		capacity:  capacity,
 		solve:     core.Solve,
 		rec:       rec,
 		inj:       inj,
@@ -97,28 +86,20 @@ func newCache(shards, capacity int, reg *obs.Registry, rec *obs.Recorder, inj *c
 			return core.SolveInjectedTuned(a, b, cfg, rec, inj, tn)
 		}
 	}
-	per := (capacity + shards - 1) / shards
-	for i := range c.shards {
-		c.shards[i] = &shard{
-			resident: make(map[cacheKey]*list.Element),
-			lru:      list.New(),
-			inflight: make(map[cacheKey]*flight),
-			capacity: per,
-		}
-	}
 	return c
 }
 
 // acquire returns the session for key, solving at most once per key no
-// matter how many goroutines ask concurrently. ctx bounds only this
-// caller's wait: the solve itself runs on its own goroutine and always
-// completes and caches its result, even if every waiter gives up
-// (kernel algorithms are not interruptible mid-DP, and finishing the
-// work keeps it amortizable). Detaching the solve from the caller is
-// also what makes acquire deadlock-free when callers are pool workers:
-// a worker blocked on a flight never holds up the solver it is waiting
-// for, because solvers do not need a worker slot.
-func (c *cache) acquire(ctx context.Context, key cacheKey) (*Session, error) {
+// matter how many goroutines ask concurrently; a miss is solved under
+// cfg, a hit ignores it. ctx bounds only this caller's wait: the solve
+// itself runs on its own goroutine and always completes and caches its
+// result, even if every waiter gives up (kernel algorithms are not
+// interruptible mid-DP, and finishing the work keeps it amortizable).
+// Detaching the solve from the caller is also what makes acquire
+// deadlock-free when callers are pool workers: a worker blocked on a
+// flight never holds up the solver it is waiting for, because solvers
+// do not need a worker slot.
+func (c *cache) acquire(ctx context.Context, key cacheKey, cfg core.Config) (*Session, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -131,11 +112,11 @@ func (c *cache) acquire(ctx context.Context, key cacheKey) (*Session, error) {
 			// cancelled on entry: the typed error, no partial work.
 			return nil, context.Canceled
 		case chaos.FaultEvict:
-			c.evictAll(cacheKey{}, false)
+			c.evictAll(nil)
 		}
 	}
 	// cache_hit / cache_miss histograms split acquire latency by
-	// outcome: a hit is a map lookup under the shard lock, a miss (or a
+	// outcome: a hit is a map lookup under the cache lock, a miss (or a
 	// dedup join) waits for the solve. The clock is read only when
 	// tracing is on.
 	var t0 time.Time
@@ -143,29 +124,28 @@ func (c *cache) acquire(ctx context.Context, key cacheKey) (*Session, error) {
 	if traced {
 		t0 = time.Now()
 	}
-	sh := c.shards[key.shardOf(len(c.shards))]
 
-	sh.mu.Lock()
-	if el, ok := sh.resident[key]; ok {
-		sh.lru.MoveToFront(el)
-		sh.mu.Unlock()
+	c.mu.Lock()
+	if el, ok := c.resident[key]; ok {
+		c.lru.MoveToFront(el)
+		c.mu.Unlock()
 		c.hits.Inc()
 		if traced {
 			c.rec.Observe(obs.StageCacheHit, time.Since(t0))
 		}
 		return el.Value.(*entry).sess, nil
 	}
-	fl, joined := sh.inflight[key]
+	fl, joined := c.inflight[key]
 	if !joined {
-		fl = &flight{done: make(chan struct{})}
-		sh.inflight[key] = fl
+		fl = &flight{done: make(chan struct{}), cfg: cfg}
+		c.inflight[key] = fl
 	}
-	sh.mu.Unlock()
+	c.mu.Unlock()
 	if joined {
 		c.deduped.Inc()
 	} else {
 		c.misses.Inc()
-		go c.runFlight(sh, key, fl)
+		go c.runFlight(key, fl)
 	}
 	select {
 	case <-fl.done:
@@ -179,21 +159,24 @@ func (c *cache) acquire(ctx context.Context, key cacheKey) (*Session, error) {
 }
 
 // runFlight fills one flight — from the persistent store when it holds
-// the kernel, by solving otherwise — publishes the session into the
-// shard's LRU (evicting past capacity), and releases every waiter.
-// Kernels are config-invariant (every algorithm produces bit-identical
-// kernels; the store differential suite pins this), so a store hit is
-// valid for any key.cfg, and a solved kernel is published to the store
-// keyed by content alone.
-func (c *cache) runFlight(sh *shard, key cacheKey, fl *flight) {
-	k := c.tier.lookup(key.a, key.b)
+// the kernel, by solving under fl.cfg otherwise — publishes the session
+// into the LRU (evicting the least recently used past capacity), and
+// releases every waiter. The store key is hashed once per flight and
+// shared by the lookup and the append.
+func (c *cache) runFlight(key cacheKey, fl *flight) {
+	a, b := []byte(key.a), []byte(key.b)
+	var sk store.Key
+	if c.tier != nil {
+		sk = store.KeyOf(a, b)
+	}
+	k := c.tier.lookup(sk)
 	if k == nil {
 		var err error
-		k, err = c.solve([]byte(key.a), []byte(key.b), key.cfg)
+		k, err = c.solve(a, b, fl.cfg)
 		if err != nil {
 			fl.err = err
 		} else {
-			c.tier.publish(key.a, key.b, k)
+			c.tier.publish(sk, k)
 		}
 	}
 	if k != nil {
@@ -212,59 +195,52 @@ func (c *cache) runFlight(sh *shard, key cacheKey, fl *flight) {
 		}
 	}
 
-	sh.mu.Lock()
-	delete(sh.inflight, key)
+	c.mu.Lock()
+	delete(c.inflight, key)
 	if fl.sess != nil {
-		sh.resident[key] = sh.lru.PushFront(&entry{key: key, sess: fl.sess})
+		c.resident[key] = c.lru.PushFront(&entry{key: key, sess: fl.sess})
 		c.bytes.Add(int64(fl.sess.MemoryBytes()))
-		for sh.lru.Len() > sh.capacity {
-			oldest := sh.lru.Back()
-			e := oldest.Value.(*entry)
-			sh.lru.Remove(oldest)
-			delete(sh.resident, e.key)
-			c.bytes.Add(-int64(e.sess.MemoryBytes()))
-			c.evictions.Inc()
+		for c.lru.Len() > c.capacity {
+			c.drop(c.lru.Back())
 		}
 	}
-	sh.mu.Unlock()
+	c.mu.Unlock()
 	if storm {
 		// Eviction storm: flush every other resident session, keeping
 		// only the one just published — the worst-case cold cache a
 		// chaos run forces right after paying for a solve.
-		c.evictAll(key, true)
+		c.evictAll(&key)
 	}
 	close(fl.done)
 }
 
-// evictAll drops every resident session (keeping only `keep` when
-// haveKeep is set), counting each drop as an eviction. Shard locks are
-// taken one at a time, never nested. Evicted sessions stay valid for
-// holders; only future acquires re-solve.
-func (c *cache) evictAll(keep cacheKey, haveKeep bool) {
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		for el := sh.lru.Front(); el != nil; {
-			next := el.Next()
-			e := el.Value.(*entry)
-			if !haveKeep || e.key != keep {
-				sh.lru.Remove(el)
-				delete(sh.resident, e.key)
-				c.bytes.Add(-int64(e.sess.MemoryBytes()))
-				c.evictions.Inc()
-			}
-			el = next
-		}
-		sh.mu.Unlock()
-	}
+// drop evicts one resident element. The caller holds c.mu.
+func (c *cache) drop(el *list.Element) {
+	e := el.Value.(*entry)
+	c.lru.Remove(el)
+	delete(c.resident, e.key)
+	c.bytes.Add(-int64(e.sess.MemoryBytes()))
+	c.evictions.Inc()
 }
 
-// len reports the number of resident sessions across all shards.
-func (c *cache) len() int {
-	n := 0
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		n += sh.lru.Len()
-		sh.mu.Unlock()
+// evictAll drops every resident session except *keep (when non-nil),
+// counting each drop as an eviction. Evicted sessions stay valid for
+// holders; only future acquires re-solve.
+func (c *cache) evictAll(keep *cacheKey) {
+	c.mu.Lock()
+	for el := c.lru.Front(); el != nil; {
+		next := el.Next()
+		if keep == nil || el.Value.(*entry).key != *keep {
+			c.drop(el)
+		}
+		el = next
 	}
-	return n
+	c.mu.Unlock()
+}
+
+// len reports the number of resident sessions.
+func (c *cache) len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lru.Len()
 }

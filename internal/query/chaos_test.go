@@ -300,6 +300,36 @@ func TestDegradationNearDeadline(t *testing.T) {
 	if st["requests_degraded"] != 1 {
 		t.Fatalf("requests_degraded = %d, want 1", st["requests_degraded"])
 	}
+
+	// A pair already resident under the full parallel config is a hit
+	// for a degraded request: degradation changes how a miss is solved,
+	// never the cache key. It is still counted as degraded.
+	c, d := []byte("hocus-pocus-hocus"), []byte("pocus-hocus-pocus-h")
+	if _, err := e.Acquire(context.Background(), c, d); err != nil {
+		t.Fatal(err)
+	}
+	before := e.Stats()
+	res = e.BatchSolve(context.Background(), []Request{{A: c, B: d, Kind: Score}})
+	if res[0].Err != nil {
+		t.Fatal(res[0].Err)
+	}
+	want, err = core.Solve(c, d, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[0].Score != want.Score() {
+		t.Fatalf("degraded hit answered %d, want %d", res[0].Score, want.Score())
+	}
+	st = e.Stats()
+	if got := st["cache_hits"] - before["cache_hits"]; got != 1 {
+		t.Errorf("degraded request on a resident pair: %d hits, want 1", got)
+	}
+	if st["cache_misses"] != before["cache_misses"] {
+		t.Errorf("degraded request on a resident pair solved again: misses %d → %d", before["cache_misses"], st["cache_misses"])
+	}
+	if got := st["requests_degraded"] - before["requests_degraded"]; got != 1 {
+		t.Errorf("requests_degraded rose by %d, want 1", got)
+	}
 }
 
 // TestDegradationOnWorkerStall: an injected pool stall forces the

@@ -57,12 +57,9 @@ type Options struct {
 	// which parallelizes the inside of a single solve.
 	Workers int
 	// MaxKernels caps the number of resident cached sessions; 0 means
-	// DefaultMaxKernels. Capacity is split evenly across shards, each
-	// shard keeping at least one slot.
+	// DefaultMaxKernels. The capacity is global: past it, the least
+	// recently used session of the whole cache is evicted.
 	MaxKernels int
-	// Shards is the lock-sharding factor of the cache; 0 means
-	// DefaultShards.
-	Shards int
 	// Obs receives stage timings (queue wait, cache hit/miss latency,
 	// per-request end-to-end, solver stages) and work counters. nil (the
 	// default) disables tracing entirely: the hot paths run the
@@ -117,16 +114,17 @@ type Options struct {
 	Banded BandedConfig
 }
 
-// Defaults for Options zero values.
-const (
-	DefaultMaxKernels = 128
-	DefaultShards     = 8
-)
+// DefaultMaxKernels is the cache capacity when Options.MaxKernels is 0.
+const DefaultMaxKernels = 128
 
-// Engine amortizes kernel solves across queries: a sharded LRU cache of
-// prepared sessions with singleflight deduplication, and a batch front
-// end that fans independent requests across a worker pool. All methods
-// are safe for concurrent use; Close releases the pool.
+// Engine amortizes kernel solves across queries: an LRU cache of
+// prepared sessions keyed by the input pair alone, with singleflight
+// deduplication, and a batch front end that fans independent requests
+// across a worker pool. A pair's kernel is the same under every solve
+// configuration, so the configuration only decides how a miss is
+// solved; a session cached under one configuration serves requests
+// under any other. All methods are safe for concurrent use; Close
+// releases the pool.
 type Engine struct {
 	cache  *cache
 	tier   *storeTier // nil without a persistent store
@@ -164,17 +162,13 @@ type Engine struct {
 // NewEngine builds an engine; the caller owns it and must Close it.
 func NewEngine(opts Options) *Engine {
 	reg := obs.NewRegistry()
-	shards := opts.Shards
-	if shards == 0 {
-		shards = DefaultShards
-	}
 	maxKernels := opts.MaxKernels
 	if maxKernels == 0 {
 		maxKernels = DefaultMaxKernels
 	}
 	tier := newStoreTier(opts.Store, reg, opts.Obs, opts.Chaos)
 	e := &Engine{
-		cache:        newCache(shards, maxKernels, reg, opts.Obs, opts.Chaos, opts.Tuning, tier),
+		cache:        newCache(maxKernels, reg, opts.Obs, opts.Chaos, opts.Tuning, tier),
 		tier:         tier,
 		pool:         parallel.NewPool(opts.Workers),
 		cfg:          opts.Config,
@@ -251,13 +245,14 @@ func (e *Engine) Acquire(ctx context.Context, a, b []byte) (*Session, error) {
 	return e.AcquireConfig(ctx, a, b, e.cfg)
 }
 
-// AcquireConfig is Acquire with an explicit solve configuration, which
-// participates in the cache key.
+// AcquireConfig is Acquire with an explicit solve configuration. The
+// configuration only decides how a miss is solved: it is not part of
+// the cache key, so a pair resident under any configuration is a hit.
 func (e *Engine) AcquireConfig(ctx context.Context, a, b []byte, cfg core.Config) (*Session, error) {
 	if e.closed.Load() {
 		return nil, ErrEngineClosed
 	}
-	return e.cache.acquire(ctx, cacheKey{a: string(a), b: string(b), cfg: cfg})
+	return e.cache.acquire(ctx, cacheKey{a: string(a), b: string(b)}, cfg)
 }
 
 // Request is one unit of work for BatchSolve: an input pair, the query
@@ -476,8 +471,9 @@ func (e *Engine) deadlineNear(ctx context.Context) bool {
 // reporting whether anything changed: worker parallelism drops to 1,
 // and the multi-phase parallel algorithms (whose sequential runs pay
 // pure overhead) fall back to branchless anti-diagonal combing — the
-// paper's strongest sequential kernel. Degraded configs are ordinary
-// cache keys: a degraded solve is cached and reused like any other.
+// paper's strongest sequential kernel. The degraded config only changes
+// how a miss is solved: a resident pair is still a hit, and a degraded
+// solve is cached and reused like any other.
 func degradeConfig(cfg core.Config) (core.Config, bool) {
 	seq := cfg
 	seq.Workers = 0

@@ -48,19 +48,25 @@ func TestAcquireHitsAndMisses(t *testing.T) {
 	if got := solves.Load(); got != 1 {
 		t.Fatalf("solves = %d, want 1", got)
 	}
-	// A different config is a different cache key.
-	if _, err := e.AcquireConfig(ctx, a, b, core.Config{Algorithm: core.Antidiag}); err != nil {
+	// The kernel does not depend on the config, so neither does the
+	// key: another algorithm's request for the same pair is one more hit
+	// on the same session, not a second solve.
+	s3, err := e.AcquireConfig(ctx, a, b, core.Config{Algorithm: core.Antidiag})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := solves.Load(); got != 2 {
-		t.Fatalf("solves after config change = %d, want 2", got)
+	if s3 != s1 {
+		t.Fatal("AcquireConfig under another algorithm did not reuse the cached session")
+	}
+	if got := solves.Load(); got != 1 {
+		t.Fatalf("solves after config change = %d, want 1", got)
 	}
 	snap := e.Stats()
-	if snap["cache_hits"] != 1 || snap["cache_misses"] != 2 {
-		t.Fatalf("stats = %v, want 1 hit / 2 misses", snap)
+	if snap["cache_hits"] != 2 || snap["cache_misses"] != 1 {
+		t.Fatalf("stats = %v, want 2 hits / 1 miss", snap)
 	}
-	if e.CachedKernels() != 2 {
-		t.Fatalf("CachedKernels = %d, want 2", e.CachedKernels())
+	if e.CachedKernels() != 1 {
+		t.Fatalf("CachedKernels = %d, want 1", e.CachedKernels())
 	}
 	if snap["cache_bytes"] <= 0 {
 		t.Fatalf("cache_bytes gauge = %d, want positive", snap["cache_bytes"])
@@ -144,9 +150,39 @@ func TestSolveErrorPropagatesAndIsNotCached(t *testing.T) {
 	}
 }
 
+// TestCacheCapacityIsGlobal: a working set below MaxKernels stays
+// resident however its pairs hash. 48 distinct pairs acquired
+// round-robin for 20 passes against a 64-kernel cache solve each pair
+// exactly once and never evict.
+func TestCacheCapacityIsGlobal(t *testing.T) {
+	const (
+		capacity = 64
+		pairs    = 48
+		passes   = 20
+	)
+	e := NewEngine(Options{MaxKernels: capacity})
+	defer e.Close()
+	ctx := context.Background()
+	for pass := 0; pass < passes; pass++ {
+		for i := 0; i < pairs; i++ {
+			a, b := fmt.Sprintf("pair-%02d-a", i), fmt.Sprintf("pair-%02d-bb", i)
+			if _, err := e.Acquire(ctx, []byte(a), []byte(b)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	st := e.Stats()
+	if st["cache_misses"] != pairs || st["cache_evictions"] != 0 {
+		t.Errorf("misses = %d, evictions = %d; want %d, 0", st["cache_misses"], st["cache_evictions"], pairs)
+	}
+	if got := e.CachedKernels(); got != pairs {
+		t.Errorf("CachedKernels = %d, want %d", got, pairs)
+	}
+}
+
 func TestEvictionKeepsLRUBound(t *testing.T) {
-	// One shard makes the LRU order observable; capacity 2 forces churn.
-	e := NewEngine(Options{MaxKernels: 2, Shards: 1})
+	// Capacity 2 forces churn; the LRU order is global, so observable.
+	e := NewEngine(Options{MaxKernels: 2})
 	defer e.Close()
 	ctx := context.Background()
 	pairs := [][2]string{{"aa", "ba"}, {"bb", "cb"}, {"cc", "dc"}, {"dd", "ed"}}
@@ -354,7 +390,6 @@ func TestEngineSoak(t *testing.T) {
 	e := NewEngine(Options{
 		Workers:    4,
 		MaxKernels: 3, // far below the working set: constant eviction churn
-		Shards:     2,
 	})
 	defer e.Close()
 	var solves atomic.Int64
@@ -409,7 +444,7 @@ func TestEngineSoak(t *testing.T) {
 	wg.Wait()
 
 	snap := e.Stats()
-	if got := e.CachedKernels(); got > 4 { // 2 shards × ceil(3/2) slots
+	if got := e.CachedKernels(); got > 3 { // MaxKernels
 		t.Fatalf("resident sessions = %d, above the configured bound", got)
 	}
 	if snap["cache_misses"] != solves.Load() {

@@ -229,7 +229,7 @@ func TestStoreEngineConcurrentSoak(t *testing.T) {
 	dir := t.TempDir()
 	st := openStoreT(t, dir)
 	defer st.Close()
-	e := NewEngine(Options{Workers: 4, MaxKernels: 1, Shards: 1, Store: st})
+	e := NewEngine(Options{Workers: 4, MaxKernels: 1, Store: st})
 	defer e.Close()
 
 	const goroutines = 8

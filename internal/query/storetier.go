@@ -45,8 +45,8 @@ type storeTier struct {
 }
 
 type tierAppend struct {
-	a, b string
-	k    *core.Kernel
+	key store.Key
+	k   *core.Kernel
 }
 
 // tierQueueDepth bounds kernels awaiting their background append. The
@@ -79,11 +79,12 @@ func newStoreTier(st *store.Store, reg *obs.Registry, rec *obs.Recorder, inj *ch
 	return t
 }
 
-// lookup consults the store for the kernel of (a, b), returning nil on
-// any miss: absent key, corrupt record, injected fault, or closed
-// store. The caller falls through to an ordinary solve, so a failing
-// store degrades the serving path without changing any answer.
-func (t *storeTier) lookup(a, b string) *core.Kernel {
+// lookup consults the store for the kernel stored under key (the
+// pair's store.KeyOf), returning nil on any miss: absent key, corrupt
+// record, injected fault, or closed store. The caller falls through to
+// an ordinary solve, so a failing store degrades the serving path
+// without changing any answer.
+func (t *storeTier) lookup(key store.Key) *core.Kernel {
 	if t == nil {
 		return nil
 	}
@@ -97,7 +98,7 @@ func (t *storeTier) lookup(a, b string) *core.Kernel {
 		}
 	}
 	sp := t.rec.Start(obs.StageStoreRead)
-	k, err := t.st.Get(store.KeyOf([]byte(a), []byte(b)))
+	k, err := t.st.Get(key)
 	sp.End()
 	if err == nil {
 		t.hits.Inc()
@@ -110,12 +111,12 @@ func (t *storeTier) lookup(a, b string) *core.Kernel {
 	return nil
 }
 
-// publish hands a freshly solved kernel to the background appender.
-// It never blocks on disk I/O (only, briefly, on a full queue) and
-// silently drops the kernel when the tier is already closed — a
-// detached flight finishing after Engine.Close loses only warmth,
-// never correctness.
-func (t *storeTier) publish(a, b string, k *core.Kernel) {
+// publish hands a freshly solved kernel, under its store key, to the
+// background appender. It never blocks on disk I/O (only, briefly, on
+// a full queue) and silently drops the kernel when the tier is already
+// closed — a detached flight finishing after Engine.Close loses only
+// warmth, never correctness.
+func (t *storeTier) publish(key store.Key, k *core.Kernel) {
 	if t == nil {
 		return
 	}
@@ -126,7 +127,7 @@ func (t *storeTier) publish(a, b string, k *core.Kernel) {
 	}
 	t.wg.Add(1)
 	t.mu.Unlock()
-	t.pending <- tierAppend{a: a, b: b, k: k}
+	t.pending <- tierAppend{key: key, k: k}
 }
 
 // run is the publisher goroutine: it drains the append queue, writing
@@ -150,7 +151,7 @@ func (t *storeTier) append(p tierAppend) {
 		}
 	}
 	sp := t.rec.Start(obs.StageStoreAppend)
-	err := t.st.Put(store.KeyOf([]byte(p.a), []byte(p.b)), p.k)
+	err := t.st.Put(p.key, p.k)
 	sp.End()
 	if err != nil {
 		return

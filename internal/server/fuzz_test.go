@@ -18,7 +18,6 @@ import (
 func fuzzServer(f *testing.F) *Server {
 	f.Helper()
 	s, err := New(Config{
-		Shards:       3,
 		TenantQuota:  4,
 		MaxBodyBytes: 64 << 10,
 		MaxBatch:     16,
@@ -68,7 +67,7 @@ func FuzzServerRequest(f *testing.F) {
 	srv := fuzzServer(f)
 	knownKinds := map[string]bool{
 		"": true, "shed": true, "quota": true, "closed": true, "too_large": true,
-		"unavailable": true, "deadline": true, "canceled": true, "injected": true, "invalid": true,
+		"deadline": true, "canceled": true, "injected": true, "invalid": true,
 	}
 	f.Fuzz(func(t *testing.T, body []byte, stream bool) {
 		path := "/v1/batch"

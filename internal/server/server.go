@@ -1,25 +1,16 @@
-// Package server is the network-native sharded serving tier over the
-// batch query engine: N independent query.Engine shards behind a
-// consistent-hash ring on the kernel-cache content key (store.KeyOf),
-// fronted by an HTTP/JSON API (batch solves and query families on
-// /v1/batch, streaming op scripts on /v1/stream, Prometheus text on
-// /metrics, liveness on /healthz).
+// Package server is the network-native serving tier over the batch
+// query engine: one query.Engine fronted by an HTTP/JSON API (batch
+// solves and query families on /v1/batch, streaming op scripts on
+// /v1/stream, Prometheus text on /metrics, liveness on /healthz).
 //
-// Sharding by content hash means both cache capacity and solve
-// throughput scale horizontally in one process: every shard owns its
-// own LRU session cache, worker pool, and counters, and a given input
-// pair always lands on the same shard (so the singleflight dedup and
-// cache locality of internal/query keep working per shard). Per-tenant
-// quotas layer on top of the per-shard MaxQueue/Deadline/retry/shed
-// machinery: the engine bound protects the process, the tenant bound
-// protects tenants from each other.
-//
-// The tier degrades rather than fails: a shard killed by chaos
-// (chaos.PointShard) or marked unhealthy is routed around by walking
-// the ring to the next healthy shard — answers stay bit-identical
-// (every shard solves the same kernels), only cache locality suffers.
-// Requests fail typed (shed, quota, deadline, canceled, injected,
-// unavailable) and only when there is genuinely no way to answer.
+// The engine's kernel cache is keyed by the input pair alone and its
+// capacity is global, so one engine holds the whole working set that
+// fits its MaxKernels; its singleflight dedup spans every client.
+// Per-tenant quotas layer on top of the engine's
+// MaxQueue/Deadline/retry/shed machinery: the engine bound protects the
+// process, the tenant bound protects tenants from each other. Requests
+// fail typed (shed, quota, closed, too_large, deadline, canceled,
+// injected, invalid) and only when there is genuinely no way to answer.
 package server
 
 import (
@@ -30,30 +21,20 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
 	"sync/atomic"
-	"time"
 
-	"semilocal/internal/chaos"
 	"semilocal/internal/obs"
 	"semilocal/internal/query"
-	"semilocal/internal/store"
 )
-
-// MaxShards bounds Config.Shards: the ring's failover walk tracks
-// visited shards in a 64-bit set, and one process has no business
-// running more engine shards than that anyway.
-const MaxShards = 64
 
 // Config configures a Server.
 type Config struct {
-	// Shards is the number of engine shards (0 → 1, max MaxShards).
-	// Engine.MaxKernels applies per shard, so aggregate cache capacity
-	// is Shards × MaxKernels — the horizontal-scaling knob.
+	// Shards is kept only so existing callers that set it still
+	// compile; New accepts 0 and 1 and rejects anything else. The tier
+	// always runs one engine.
 	Shards int
-	// Engine is the per-shard engine template. Each shard engine counts
-	// in its own registry (see ShardStats); Obs and Chaos are shared
-	// across shards and consulted by the router itself.
+	// Engine configures the tier's engine; its Obs recorder also times
+	// the tier's own request stage.
 	Engine query.Options
 	// TenantQuota bounds each tenant's outstanding requests across the
 	// whole tier; 0 disables per-tenant admission.
@@ -68,29 +49,17 @@ type Config struct {
 	// DefaultMaxPairBytes): a kernel solve is Θ(len(a)·len(b)), so the
 	// wire must not sell unbounded compute.
 	MaxPairBytes int
-	// Vnodes is the consistent-hash virtual-node count per shard
-	// (0 → 128).
-	Vnodes int
 }
 
-// shardSlot is one engine shard.
-type shardSlot struct {
-	id  int
-	eng *query.Engine
-}
-
-// Server is the sharded serving tier. Construct with New, expose
-// Handler through an http.Server, Close when done (closes the shard
-// engines; the caller owns listener and store lifecycles).
+// Server is the serving tier. Construct with New, expose Handler
+// through an http.Server, Close when done (closes the engine; the
+// caller owns listener and store lifecycles).
 type Server struct {
-	shards  []*shardSlot
-	ring    *ring
+	eng     *query.Engine
 	tenants *tenantTable
 	rec     *obs.Recorder
-	inj     *chaos.Injector
 	reg     *obs.Registry // tier-level counters
 	mux     *http.ServeMux
-	down    []atomic.Bool
 	closed  atomic.Bool
 
 	maxBody  int64
@@ -98,19 +67,13 @@ type Server struct {
 	maxPair  int
 
 	requests *obs.Counter // requests accepted (batch requests + stream ops)
-	reroutes *obs.Counter // requests served away from their home shard
 	rejects  *obs.Counter // requests rejected by tenant quota
 }
 
-// New builds the tier: the shard engines, the ring, the quota table,
-// and the HTTP mux.
+// New builds the tier: the engine, the quota table, and the HTTP mux.
 func New(cfg Config) (*Server, error) {
-	n := cfg.Shards
-	if n == 0 {
-		n = 1
-	}
-	if n < 1 || n > MaxShards {
-		return nil, fmt.Errorf("server: shards %d out of [1,%d]", cfg.Shards, MaxShards)
+	if cfg.Shards != 0 && cfg.Shards != 1 {
+		return nil, fmt.Errorf("server: shards %d unsupported (the tier runs one engine; leave Shards 0 or 1)", cfg.Shards)
 	}
 	maxBody := cfg.MaxBodyBytes
 	if maxBody == 0 {
@@ -125,22 +88,16 @@ func New(cfg Config) (*Server, error) {
 		maxPair = DefaultMaxPairBytes
 	}
 	s := &Server{
-		ring:     newRing(n, cfg.Vnodes),
+		eng:      query.NewEngine(cfg.Engine),
 		tenants:  newTenantTable(cfg.TenantQuota),
 		rec:      cfg.Engine.Obs,
-		inj:      cfg.Engine.Chaos,
 		reg:      obs.NewRegistry(),
-		down:     make([]atomic.Bool, n),
 		maxBody:  maxBody,
 		maxBatch: maxBatch,
 		maxPair:  maxPair,
 	}
 	s.requests = s.reg.Counter("server_requests")
-	s.reroutes = s.reg.Counter("server_reroutes")
 	s.rejects = s.reg.Counter("tenant_rejects")
-	for i := 0; i < n; i++ {
-		s.shards = append(s.shards, &shardSlot{id: i, eng: query.NewEngine(cfg.Engine)})
-	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/batch", s.handleBatch)
 	s.mux.HandleFunc("/v1/stream", s.handleStream)
@@ -152,140 +109,27 @@ func New(cfg Config) (*Server, error) {
 // Handler returns the tier's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Close shuts the shard engines down (draining their store appends).
+// Close shuts the engine down (draining its store appends).
 // In-flight HTTP requests racing Close get typed "closed" errors.
 func (s *Server) Close() {
 	if s.closed.Swap(true) {
 		return
 	}
-	for _, sh := range s.shards {
-		sh.eng.Close()
-	}
+	s.eng.Close()
 }
 
-// Shards reports the shard count.
-func (s *Server) Shards() int { return len(s.shards) }
-
-// SetShardHealth marks shard i up or down operationally. A down shard
-// is routed around exactly like a chaos-killed one; marking every
-// shard down makes requests fail typed ("unavailable") instead of
-// wrong.
-func (s *Server) SetShardHealth(i int, healthy bool) {
-	if i >= 0 && i < len(s.down) {
-		s.down[i].Store(!healthy)
-	}
-}
-
-// healthyShards counts shards not marked down.
-func (s *Server) healthyShards() int {
-	n := 0
-	for i := range s.down {
-		if !s.down[i].Load() {
-			n++
-		}
-	}
-	return n
-}
-
-// Stats aggregates the tier's counters: the sum of every shard's
-// engine registry plus the tier-level server_requests /
-// server_reroutes / tenant_rejects.
+// Stats returns the tier's counters: the engine registry merged with
+// the tier-level server_requests and tenant_rejects.
 func (s *Server) Stats() map[string]int64 { return s.values().Map() }
 
-// values is the typed aggregate behind Stats.
+// values is the typed merge behind Stats.
 func (s *Server) values() obs.Values {
-	out := s.reg.Values()
-	for _, sh := range s.shards {
-		out = out.Merge(sh.eng.Registry().Values())
-	}
-	return out
+	return s.reg.Values().Merge(s.eng.Registry().Values())
 }
 
-// ShardStats returns a snapshot of one shard's private engine counters
-// (hit/miss/shed split per shard); nil for an out-of-range shard.
-func (s *Server) ShardStats(i int) map[string]int64 {
-	if i < 0 || i >= len(s.shards) {
-		return nil
-	}
-	return s.shards[i].eng.Stats()
-}
-
-// StatsLine renders the aggregate counters as a stable one-line
-// summary (sorted names), mirroring Engine.StatsLine.
+// StatsLine renders the counters as a stable one-line summary (sorted
+// names), mirroring Engine.StatsLine.
 func (s *Server) StatsLine() string { return s.values().String() }
-
-// route picks the shard for input pair (a, b): the content hash's home
-// shard on the ring, or — when chaos killed it for this arrival or it
-// is marked down — the next healthy shard clockwise. The reroute is
-// the tier's degraded mode: colder cache, identical answers.
-func (s *Server) route(a, b []byte) (*shardSlot, error) {
-	rsp := s.rec.Start(obs.StageServerRoute)
-	defer rsp.End()
-	key := store.KeyOf(a, b)
-	killed := -1
-	if d := s.inj.At(chaos.PointShard); d.Fault != chaos.FaultNone {
-		switch d.Fault {
-		case chaos.FaultLatency:
-			time.Sleep(d.Latency)
-		case chaos.FaultError:
-			killed = s.ring.lookup(key)
-		}
-	}
-	home := -1
-	id, ok := s.ring.walk(key, func(sh int) bool {
-		if home == -1 {
-			home = sh
-		}
-		return sh != killed && !s.down[sh].Load()
-	})
-	if !ok {
-		return nil, errNoHealthyShard
-	}
-	if id != home {
-		s.reroutes.Inc()
-	}
-	return s.shards[id], nil
-}
-
-// routed pairs one decoded request with its slot in the response.
-type routedReq struct {
-	idx int
-	req query.Request
-}
-
-// solveRouted routes each request to its shard, runs the per-shard
-// sub-batches concurrently (shards are independent engines), and
-// scatters answers back into results by original index.
-func (s *Server) solveRouted(ctx context.Context, reqs []routedReq, results []WireResult) {
-	groups := make([][]routedReq, len(s.shards))
-	for _, rr := range reqs {
-		slot, err := s.route(rr.req.A, rr.req.B)
-		if err != nil {
-			results[rr.idx] = WireResult{Shard: -1, Error: err.Error(), ErrorKind: errorKind(err)}
-			continue
-		}
-		groups[slot.id] = append(groups[slot.id], rr)
-	}
-	var wg sync.WaitGroup
-	for id, group := range groups {
-		if len(group) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(slot *shardSlot, group []routedReq) {
-			defer wg.Done()
-			sub := make([]query.Request, len(group))
-			for j, rr := range group {
-				sub[j] = rr.req
-			}
-			res := slot.eng.BatchSolve(ctx, sub)
-			for j, rr := range group {
-				results[rr.idx] = toWireResult(res[j], slot.id)
-			}
-		}(s.shards[id], group)
-	}
-	wg.Wait()
-}
 
 // handleBatch serves POST /v1/batch.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -316,28 +160,34 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		rejected := int64(n - admitted)
 		s.rejects.Add(rejected)
 		for i := admitted; i < n; i++ {
-			results[i] = WireResult{Shard: -1, Error: ErrTenantQuota.Error(), ErrorKind: errorKind(ErrTenantQuota)}
+			results[i] = errorResult(ErrTenantQuota)
 		}
 	}
 
-	routed := make([]routedReq, 0, admitted)
+	// Requests that fail wire validation answer in place; the rest go
+	// to the engine as one batch, scattered back by original index.
+	reqs := make([]query.Request, 0, admitted)
+	idx := make([]int, 0, admitted)
 	for i := 0; i < admitted; i++ {
 		req, err := toEngineRequest(br.Requests[i], s.maxPair)
 		if err != nil {
-			results[i] = WireResult{Shard: -1, Error: err.Error(), ErrorKind: errorKind(err)}
+			results[i] = errorResult(err)
 			continue
 		}
-		routed = append(routed, routedReq{idx: i, req: req})
+		reqs = append(reqs, req)
+		idx = append(idx, i)
 	}
-	s.solveRouted(r.Context(), routed, results)
+	for j, res := range s.eng.BatchSolve(r.Context(), reqs) {
+		results[idx[j]] = toWireResult(res)
+	}
 	writeJSON(w, http.StatusOK, BatchResponse{Results: results})
 }
 
-// handleStream serves POST /v1/stream: the whole op script runs on the
-// shard owning the pattern's content hash, in order, against one
-// engine stream. A failed mutation reports in its slot and leaves the
-// window on the previous generation, so later ops still answer against
-// a consistent state — the same semantics as the CLI -stream mode.
+// handleStream serves POST /v1/stream: the whole op script runs in
+// order against one engine stream. A failed mutation reports in its
+// slot and leaves the window on the previous generation, so later ops
+// still answer against a consistent state — the same semantics as the
+// CLI -stream mode.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	sp := s.rec.Start(obs.StageServerRequest)
 	defer sp.End()
@@ -379,12 +229,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.tenants.release(sr.Tenant, n)
 
-	slot, err := s.route(pattern, nil)
-	if err != nil {
-		httpError(w, http.StatusServiceUnavailable, err.Error())
-		return
-	}
-	st, err := slot.eng.OpenStream(pattern)
+	st, err := s.eng.OpenStream(pattern)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
@@ -394,7 +239,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	for i, op := range sr.Ops {
 		results[i] = s.streamOp(ctx, st, op)
 	}
-	writeJSON(w, http.StatusOK, StreamResponse{Shard: slot.id, Results: results})
+	writeJSON(w, http.StatusOK, StreamResponse{Results: results})
 }
 
 // groupPatterns resolves and validates the multi-pattern set of a
@@ -438,23 +283,11 @@ func (s *Server) groupPatterns(sr StreamRequest) ([][]byte, error) {
 	return patterns, nil
 }
 
-// groupRouteKey frames the pattern set into one routing key: each
-// pattern length-prefixed, so distinct sets never collide by
-// concatenation. The whole group lives on this key's home shard.
-func groupRouteKey(patterns [][]byte) []byte {
-	key := make([]byte, 0, 4*len(patterns)+64)
-	for _, p := range patterns {
-		key = append(key, byte(len(p)), byte(len(p)>>8), byte(len(p)>>16), byte(len(p)>>24))
-		key = append(key, p...)
-	}
-	return key
-}
-
 // handleStreamGroup serves the multi-pattern form of POST /v1/stream:
-// the whole op script runs against one session group on the shard
-// owning the pattern set's content hash. Mutation semantics are the
-// group's — a failed append or slide touched no spine, so later ops
-// still answer against a consistent group-wide generation.
+// the whole op script runs against one session group. Mutation
+// semantics are the group's — a failed append or slide touched no
+// spine, so later ops still answer against a consistent group-wide
+// generation.
 func (s *Server) handleStreamGroup(w http.ResponseWriter, r *http.Request, sr StreamRequest) {
 	patterns, err := s.groupPatterns(sr)
 	if err != nil {
@@ -473,12 +306,7 @@ func (s *Server) handleStreamGroup(w http.ResponseWriter, r *http.Request, sr St
 	}
 	defer s.tenants.release(sr.Tenant, n)
 
-	slot, err := s.route(groupRouteKey(patterns), nil)
-	if err != nil {
-		httpError(w, http.StatusServiceUnavailable, err.Error())
-		return
-	}
-	sg, err := slot.eng.OpenStreamGroup(patterns)
+	sg, err := s.eng.OpenStreamGroup(patterns)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
@@ -489,7 +317,6 @@ func (s *Server) handleStreamGroup(w http.ResponseWriter, r *http.Request, sr St
 		results[i] = s.streamGroupOp(ctx, sg, op)
 	}
 	writeJSON(w, http.StatusOK, StreamResponse{
-		Shard:    slot.id,
 		Patterns: sg.Patterns(),
 		Distinct: sg.DistinctPatterns(),
 		Results:  results,
@@ -583,10 +410,8 @@ func (s *Server) streamOp(ctx context.Context, st *query.Stream, op WireOp) Stre
 	return StreamOpResult{Gen: st.Generation(), Window: st.Window(), Leaves: st.Leaves()}
 }
 
-// handleMetrics serves the Prometheus text exposition: the shared
-// stage histograms and obs counters, the aggregate engine counters,
-// and the per-shard split under semilocal_shard_counter and
-// semilocal_shard_gauge.
+// handleMetrics serves the Prometheus text exposition: the stage
+// histograms and obs counters, and the tier's registry values.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		httpError(w, http.StatusMethodNotAllowed, "server: GET only")
@@ -598,31 +423,17 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // WriteMetrics writes the full exposition that /metrics serves to w.
 func (s *Server) WriteMetrics(w io.Writer) {
-	shards := make([]obs.Values, len(s.shards))
-	for i, sh := range s.shards {
-		shards[i] = sh.eng.Registry().Values()
-	}
-	obs.WriteMetrics(w, s.rec.Snapshot(), s.values(), shards...)
-	fmt.Fprintf(w, "# HELP semilocal_shard_healthy Shard health (1 = routable).\n")
-	fmt.Fprintf(w, "# TYPE semilocal_shard_healthy gauge\n")
-	for i := range s.down {
-		up := 1
-		if s.down[i].Load() {
-			up = 0
-		}
-		fmt.Fprintf(w, "semilocal_shard_healthy{shard=\"%d\"} %d\n", i, up)
-	}
+	obs.WriteMetrics(w, s.rec.Snapshot(), s.values())
 }
 
-// handleHealthz serves liveness: 200 with shard counts while any shard
-// is routable, 503 when none is.
+// handleHealthz serves liveness: 200 while the server is open, 503
+// after Close.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	healthy := s.healthyShards()
-	code := http.StatusOK
-	if healthy == 0 || s.closed.Load() {
-		code = http.StatusServiceUnavailable
+	if s.closed.Load() {
+		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "closed"})
+		return
 	}
-	writeJSON(w, code, map[string]int{"shards": len(s.shards), "healthy": healthy})
+	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // readRequest decodes one JSON request body under the configured

@@ -9,7 +9,7 @@ import (
 // ErrTenantQuota is the typed per-tenant rejection of the serving
 // tier's admission control: the tenant already has its full quota of
 // outstanding requests in flight, so the arriving request was rejected
-// before touching any shard — the multi-tenant sibling of the engine's
+// before touching the engine — the multi-tenant sibling of the engine's
 // ErrShed. Rejected requests did no work; the caller may retry after
 // its in-flight requests drain. Match with errors.Is.
 var ErrTenantQuota = errors.New("server: tenant quota exceeded: too many outstanding requests")
@@ -38,7 +38,7 @@ func validTenant(s string) bool {
 }
 
 // tenantTable tracks outstanding requests per tenant against a shared
-// quota, layered in front of the per-shard engines' MaxQueue admission:
+// quota, layered in front of the engine's MaxQueue admission:
 // the engine bound protects the process, the tenant bound protects
 // tenants from each other. The zero quota disables the table entirely.
 type tenantTable struct {

@@ -54,12 +54,9 @@ type WireRequest struct {
 
 // WireResult is one answered request.
 type WireResult struct {
-	Score   int    `json:"score"`
-	From    int    `json:"from,omitempty"`
-	Windows []int  `json:"windows,omitempty"`
-	// Shard is the engine shard that answered (-1 when the request
-	// never reached a shard), exposed for operations and the test wall.
-	Shard int `json:"shard"`
+	Score   int   `json:"score"`
+	From    int   `json:"from,omitempty"`
+	Windows []int `json:"windows,omitempty"`
 	// Error and ErrorKind report per-request failures; ErrorKind is the
 	// stable machine-readable classification (see errorKind).
 	Error     string `json:"error,omitempty"`
@@ -72,15 +69,13 @@ type BatchResponse struct {
 }
 
 // StreamRequest is the body of POST /v1/stream: one op script executed
-// in order against a streaming session for Pattern, on the shard that
-// owns the pattern's content hash.
+// in order against a streaming session for Pattern.
 //
 // Setting Patterns (or Patterns64) instead runs the script against a
 // multi-pattern session group: every append/slide mutates all pattern
 // spines in lockstep with the chunk's text-side work shared across
-// patterns, query ops address a pattern by index via WireOp.Pat, and
-// the whole group lives on the shard owning the concatenated patterns'
-// content hash. Exactly one spelling of the pattern set may be used —
+// patterns, and query ops address a pattern by index via WireOp.Pat.
+// Exactly one spelling of the pattern set may be used —
 // Pattern/Pattern64 and Patterns/Patterns64 are mutually exclusive.
 type StreamRequest struct {
 	Tenant    string   `json:"tenant,omitempty"`
@@ -129,7 +124,6 @@ type StreamOpResult struct {
 // calls additionally report the pattern count and the number of
 // distinct spines actually maintained (duplicate patterns collapse).
 type StreamResponse struct {
-	Shard    int              `json:"shard"`
 	Patterns int              `json:"patterns,omitempty"`
 	Distinct int              `json:"distinct,omitempty"`
 	Results  []StreamOpResult `json:"results"`
@@ -209,13 +203,8 @@ func toEngineRequest(w WireRequest, maxPair int) (query.Request, error) {
 }
 
 // errPairTooLarge classifies oversized input pairs (errorKind
-// "too_large"); the pair never reaches a shard.
+// "too_large"); the pair never reaches the engine.
 var errPairTooLarge = errors.New("server: input pair too large")
-
-// errNoHealthyShard is returned when every shard on the ring was
-// killed or marked down — the only way the tier answers worse than
-// "degraded".
-var errNoHealthyShard = errors.New("server: no healthy shard")
 
 // errorKind maps an error to its stable wire classification. The chaos
 // test wall pins these: under error/cancel chaos a response is either
@@ -233,8 +222,6 @@ func errorKind(err error) string {
 		return "closed"
 	case errors.Is(err, errPairTooLarge):
 		return "too_large"
-	case errors.Is(err, errNoHealthyShard):
-		return "unavailable"
 	case errors.Is(err, context.DeadlineExceeded):
 		return "deadline"
 	case errors.Is(err, context.Canceled):
@@ -246,11 +233,16 @@ func errorKind(err error) string {
 	}
 }
 
-// toWireResult renders one engine result (answered by shard) for the
-// wire.
-func toWireResult(res query.Result, shard int) WireResult {
+// toWireResult renders one engine result for the wire.
+func toWireResult(res query.Result) WireResult {
 	if res.Err != nil {
-		return WireResult{Shard: shard, Error: res.Err.Error(), ErrorKind: errorKind(res.Err)}
+		return errorResult(res.Err)
 	}
-	return WireResult{Score: res.Score, From: res.From, Windows: res.Windows, Shard: shard}
+	return WireResult{Score: res.Score, From: res.From, Windows: res.Windows}
+}
+
+// errorResult renders a request that failed before or inside the
+// engine.
+func errorResult(err error) WireResult {
+	return WireResult{Error: err.Error(), ErrorKind: errorKind(err)}
 }

@@ -169,9 +169,10 @@ func GeneralBitLCS(a, b []byte, workers int) int {
 }
 
 // Serving layer: one kernel solve pays for unlimited sublinear queries,
-// and the Engine amortizes solves across requests — a sharded LRU cache
-// of prepared Sessions with singleflight deduplication and a batch
-// front end over a worker pool. See internal/query for details and
+// and the Engine amortizes solves across requests — an LRU cache of
+// prepared Sessions keyed by the input pair alone (a pair's kernel is
+// the same under every solve configuration), with one global capacity,
+// singleflight deduplication and a batch front end over a worker pool. See internal/query for details and
 // cmd/semilocal's -serve-batch mode for a file-driven harness.
 
 // Engine is a concurrent batch query engine over cached kernels.
@@ -464,22 +465,19 @@ const (
 	StageStoreCompact = obs.StageStoreCompact // one compaction pass
 )
 
-// Network serving tier: N engine shards behind consistent hashing on
-// the kernel-cache content key, fronted by an HTTP/JSON API (batch
+// Network serving tier: one Engine fronted by an HTTP/JSON API (batch
 // solves and query families on /v1/batch, streaming op scripts on
 // /v1/stream, Prometheus text on /metrics, liveness on /healthz).
-// Because kernels are config-invariant, every shard answers every pair
-// identically — a killed or drained shard degrades cache locality,
-// never correctness. Per-tenant quotas layer in front of the per-shard
+// Per-tenant quotas layer in front of the engine's
 // MaxQueue/Deadline/retry/shed machinery, and cmd/loadgen drives the
 // tier closed-loop for latency-SLO reports. See internal/server and
 // cmd/semilocal's -serve-addr mode.
 
-// Server is the sharded HTTP serving tier over the batch query engine.
+// Server is the HTTP serving tier over the batch query engine.
 type Server = server.Server
 
-// ServerConfig configures NewServer; the zero value runs one shard
-// with default limits.
+// ServerConfig configures NewServer; the zero value runs the default
+// engine with default limits.
 type ServerConfig = server.Config
 
 // ServerBatchRequest / ServerBatchResponse and the other wire types of
@@ -494,19 +492,16 @@ type ServerWireResult = server.WireResult
 // serving tier — the multi-tenant sibling of ErrShed.
 var ErrTenantQuota = server.ErrTenantQuota
 
-// NewServer builds the sharded serving tier; expose Handler through an
+// NewServer builds the serving tier; expose Handler through an
 // http.Server and Close the tier on shutdown.
 func NewServer(cfg ServerConfig) (*Server, error) {
 	return server.New(cfg)
 }
 
-// Serving-tier stages for StageRecorder consumers. The tier counters
-// (server_requests, server_reroutes, tenant_rejects) are in
-// Server.Stats.
-const (
-	StageServerRequest = obs.StageServerRequest // one HTTP call end to end
-	StageServerRoute   = obs.StageServerRoute   // ring lookup + failover walk
-)
+// StageServerRequest is the serving tier's stage for StageRecorder
+// consumers: one HTTP call end to end. The tier counters
+// (server_requests, tenant_rejects) are in Server.Stats.
+const StageServerRequest = obs.StageServerRequest
 
 // Autotuning: the solvers carry a handful of machine-dependent
 // constants (parallel chunk floors, the 16-bit index route, the hybrid
