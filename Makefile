@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test race test-race check check-obs check-chaos check-stream check-multipat check-banded check-store check-server check-tune check-perfbench bench bench-smoke figures figures-paper examples fuzz fuzz-smoke
+.PHONY: all build test race test-race check check-obs check-chaos check-stream check-banded check-store check-server check-tune check-perfbench bench bench-smoke figures figures-paper examples fuzz fuzz-smoke
 
 all: build test
 
@@ -52,30 +52,22 @@ check-chaos:
 
 # Streaming lane: the incremental-kernel subsystem end to end under
 # the race detector — the differential bit-identity suite against
-# from-scratch solves, the concurrent query-during-append soak, the
+# from-scratch solves, the group-differential wall (every pattern of a
+# session group bit-identical to an independent session and a
+# from-scratch solve across randomized chunkings and slides), the
+# per-pattern composition bound, relabeling-class leaf sharing and its
+# key-exactness table, the concurrent query-during-append soaks, the
 # chaos metamorphic cases, the steady-ant workspace, the engine
-# wrapper's deadline/retry semantics, and the CLI -stream goldens. The
-# zero-alloc guards for the append hot path (leaf merges in the
-# retained arena) only compile without -race, so they run in a second,
-# race-free pass.
+# wrapper's lockstep deadline/retry semantics (single-pattern streams
+# are groups of one), the /v1/stream wire, and the CLI -stream
+# goldens. The zero-alloc guards for the append hot path (leaf merges
+# in the retained arena, the group scan, steady-state group appends)
+# only compile without -race, so they run in a second, race-free pass,
+# followed by a fuzz smoke of the group target.
 check-stream:
 	go test -race ./internal/stream ./internal/steadyant ./internal/query ./cmd/semilocal
-	go test -run 'ZeroAllocs|Freelist|AllocParity' ./internal/stream ./internal/steadyant ./internal/query
-
-# Multi-pattern streaming lane: the session-group subsystem end to end
-# under the race detector — the group-differential wall (every pattern
-# bit-identical to an independent session and a from-scratch solve
-# across randomized chunkings and slides), the per-pattern composition
-# bound, relabeling-class leaf sharing and its key-exactness table, the
-# 8-goroutine concurrent-reader soak, the group chaos metamorphic
-# cases, the engine wrapper's lockstep retry/deadline semantics, the
-# /v1/stream group wire extension, and the CLI group-mode goldens. The
-# steady-state group-append alloc guards only compile without -race, so
-# they run in a second, race-free pass, followed by a fuzz smoke of the
-# group target.
-check-multipat:
-	go test -race -run 'Group' ./internal/stream ./internal/query ./internal/server ./cmd/semilocal
-	go test -run 'TestGroupScanZeroAllocs|TestGroupSteadyStateAppendAllocs' ./internal/stream
+	go test -race -run Stream ./internal/server
+	go test -run 'ZeroAllocs|Freelist|AllocParity|TestGroupSteadyStateAppendAllocs' ./internal/stream ./internal/steadyant ./internal/query
 	go test -fuzz FuzzStreamGroup -fuzztime 10s ./internal/stream
 
 # Banded fast-path lane: the differential wall (adversarial shapes,

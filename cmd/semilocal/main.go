@@ -47,8 +47,8 @@
 //
 //	semilocal -a-text GATTACA -stream ops.txt
 //
-// Op scripts that open with `pattern <p>` lines run a multi-pattern
-// session group instead: the -a-text pattern is pattern 0, each
+// Op scripts that open with `pattern <p>` lines watch several patterns
+// with one session group: the -a-text pattern is pattern 0, each
 // declaration adds the next index, every append/slide mutates all
 // pattern spines in lockstep with the chunk's text-side work shared
 // across patterns, and a query line may address a pattern with an
@@ -674,7 +674,7 @@ func runBatch(path string, opts batchOptions, out io.Writer) error {
 	}
 	results := engine.BatchSolve(context.Background(), reqs)
 	for i, res := range results {
-		printResult(out, i, reqs[i].Kind, reqs[i].Width, res)
+		printResult(out, i, "", reqs[i].Kind, reqs[i].Width, res)
 	}
 	fmt.Fprintf(out, "# engine: %s\n", engine.StatsLine())
 	if opts.traceStages {
@@ -687,18 +687,19 @@ func runBatch(path string, opts batchOptions, out io.Writer) error {
 }
 
 // printResult renders one answered request as a numbered output line
-// (shared by the -serve-batch and -stream modes).
-func printResult(out io.Writer, i int, kind semilocal.QueryKind, width int, res semilocal.BatchResult) {
+// (shared by the -serve-batch and -stream modes); tag prefixes the kind
+// (the `@<i> ` pattern address of a multi-pattern stream, else empty).
+func printResult(out io.Writer, i int, tag string, kind semilocal.QueryKind, width int, res semilocal.BatchResult) {
 	switch {
 	case res.Err != nil:
-		fmt.Fprintf(out, "#%d %s: error: %v\n", i, kind, res.Err)
+		fmt.Fprintf(out, "#%d %s%s: error: %v\n", i, tag, kind, res.Err)
 	case kind == semilocal.QueryWindows:
-		fmt.Fprintf(out, "#%d %s(%d) =%s\n", i, kind, width, joinInts(res.Windows))
+		fmt.Fprintf(out, "#%d %s%s(%d) =%s\n", i, tag, kind, width, joinInts(res.Windows))
 	case kind == semilocal.QueryBestWindow:
-		fmt.Fprintf(out, "#%d %s(%d) = b[%d:%d) score %d\n",
-			i, kind, width, res.From, res.From+width, res.Score)
+		fmt.Fprintf(out, "#%d %s%s(%d) = b[%d:%d) score %d\n",
+			i, tag, kind, width, res.From, res.From+width, res.Score)
 	default:
-		fmt.Fprintf(out, "#%d %s = %d\n", i, kind, res.Score)
+		fmt.Fprintf(out, "#%d %s%s = %d\n", i, tag, kind, res.Score)
 	}
 }
 
@@ -817,17 +818,17 @@ func parseStreamLine(line string) (streamOp, error) {
 	return streamOp{pat: pat, req: req}, nil
 }
 
-// runStream replays an op script against one streaming session opened
-// through the engine, so mutations run under the engine's deadline and
-// retry policy and queries hit the per-generation session cache. Ops
-// run strictly in file order; a failed mutation prints its error and
-// leaves the window unchanged, so the remaining ops still answer
-// against a consistent generation.
+// runStream replays an op script against one streaming session group
+// opened through the engine, so mutations run under the engine's
+// deadline and retry policy and queries hit the per-generation session
+// cache. Ops run strictly in file order; a failed mutation prints its
+// error and leaves the window unchanged, so the remaining ops still
+// answer against a consistent generation.
 //
-// Scripts that open with `pattern <p>` lines run in group mode
-// instead: the -a-text pattern is pattern 0, each declaration adds the
-// next index, and one multi-pattern session group serves every query —
-// each chunk's text-side work is paid once across all patterns.
+// The -a-text pattern is pattern 0 and each leading `pattern <p>`
+// declaration adds the next index; without declarations the group
+// holds the one pattern. Each chunk's text-side work is paid once
+// across all patterns.
 func runStream(path string, pattern []byte, opts batchOptions, out io.Writer) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -899,12 +900,7 @@ func runStream(path string, pattern []byte, opts batchOptions, out io.Writer) er
 		defer ms.stop()
 		fmt.Fprintf(out, "# metrics: serving on http://%s/metrics\n", ms.addr())
 	}
-	if len(patterns) > 1 {
-		err = replayStreamGroup(engine, patterns, ops, out)
-	} else {
-		err = replayStream(engine, pattern, ops, out)
-	}
-	if err != nil {
+	if err := replayStreamGroup(engine, patterns, ops, out); err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "# engine: %s\n", engine.StatsLine())
@@ -917,50 +913,23 @@ func runStream(path string, pattern []byte, opts batchOptions, out io.Writer) er
 	return nil
 }
 
-// replayStream runs the parsed ops against one single-pattern stream.
-func replayStream(engine *semilocal.Engine, pattern []byte, ops []streamOp, out io.Writer) error {
-	stream, err := engine.OpenStream(pattern)
-	if err != nil {
-		return err
-	}
-	ctx := context.Background()
-	for i, op := range ops {
-		switch {
-		case op.append != nil:
-			if err := stream.Append(ctx, op.append); err != nil {
-				fmt.Fprintf(out, "#%d append: error: %v\n", i, err)
-				continue
-			}
-			fmt.Fprintf(out, "#%d append %d bytes: gen=%d window=%d leaves=%d\n",
-				i, len(op.append), stream.Generation(), stream.Window(), stream.Leaves())
-		case op.isSlide:
-			if err := stream.Slide(ctx, op.slide); err != nil {
-				fmt.Fprintf(out, "#%d slide: error: %v\n", i, err)
-				continue
-			}
-			fmt.Fprintf(out, "#%d slide %d: gen=%d window=%d leaves=%d\n",
-				i, op.slide, stream.Generation(), stream.Window(), stream.Leaves())
-		default:
-			printResult(out, i, op.req.Kind, op.req.Width, stream.Query(op.req))
-		}
-	}
-	fmt.Fprintf(out, "# stream: gen=%d leaves=%d window=%d compositions=%d\n",
-		stream.Generation(), stream.Leaves(), stream.Window(), stream.Compositions())
-	return nil
-}
-
-// replayStreamGroup runs the parsed ops against one multi-pattern
-// session group: every append and slide mutates all pattern spines in
-// lockstep, queries address their `@<i>` pattern, and the summary line
-// accounts the sharing (leaf solves actually performed vs per-pattern
-// solves avoided by the shared text-side pass).
+// replayStreamGroup runs the parsed ops against one session group:
+// every append and slide mutates all pattern spines in lockstep and
+// queries address their `@<i>` pattern. A multi-pattern run prints a
+// header, tags each answer with its pattern, and accounts the sharing
+// in its summary (leaf solves actually performed vs per-pattern solves
+// avoided by the shared text-side pass); a one-pattern run prints the
+// plain single-stream lines.
 func replayStreamGroup(engine *semilocal.Engine, patterns [][]byte, ops []streamOp, out io.Writer) error {
 	sg, err := engine.OpenStreamGroup(patterns)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "# stream-group: %d patterns (%d distinct spines)\n",
-		sg.Patterns(), sg.DistinctPatterns())
+	multi := sg.Patterns() > 1
+	if multi {
+		fmt.Fprintf(out, "# stream-group: %d patterns (%d distinct spines)\n",
+			sg.Patterns(), sg.DistinctPatterns())
+	}
 	ctx := context.Background()
 	for i, op := range ops {
 		switch {
@@ -979,24 +948,21 @@ func replayStreamGroup(engine *semilocal.Engine, patterns [][]byte, ops []stream
 			fmt.Fprintf(out, "#%d slide %d: gen=%d window=%d leaves=%d\n",
 				i, op.slide, sg.Generation(), sg.Window(), sg.Leaves())
 		default:
-			res := sg.Query(op.pat, op.req)
-			kind := op.req.Kind
-			switch {
-			case res.Err != nil:
-				fmt.Fprintf(out, "#%d @%d %s: error: %v\n", i, op.pat, kind, res.Err)
-			case kind == semilocal.QueryWindows:
-				fmt.Fprintf(out, "#%d @%d %s(%d) =%s\n", i, op.pat, kind, op.req.Width, joinInts(res.Windows))
-			case kind == semilocal.QueryBestWindow:
-				fmt.Fprintf(out, "#%d @%d %s(%d) = b[%d:%d) score %d\n",
-					i, op.pat, kind, op.req.Width, res.From, res.From+op.req.Width, res.Score)
-			default:
-				fmt.Fprintf(out, "#%d @%d %s = %d\n", i, op.pat, kind, res.Score)
+			tag := ""
+			if multi {
+				tag = fmt.Sprintf("@%d ", op.pat)
 			}
+			printResult(out, i, tag, op.req.Kind, op.req.Width, sg.Query(op.pat, op.req))
 		}
 	}
-	fmt.Fprintf(out, "# stream-group: gen=%d leaves=%d window=%d patterns=%d distinct=%d leaf_solves=%d leaf_shared=%d compositions=%d\n",
-		sg.Generation(), sg.Leaves(), sg.Window(), sg.Patterns(), sg.DistinctPatterns(),
-		sg.LeafSolves(), sg.LeafShares(), sg.Compositions())
+	if multi {
+		fmt.Fprintf(out, "# stream-group: gen=%d leaves=%d window=%d patterns=%d distinct=%d leaf_solves=%d leaf_shared=%d compositions=%d\n",
+			sg.Generation(), sg.Leaves(), sg.Window(), sg.Patterns(), sg.DistinctPatterns(),
+			sg.LeafSolves(), sg.LeafShares(), sg.Compositions())
+	} else {
+		fmt.Fprintf(out, "# stream: gen=%d leaves=%d window=%d compositions=%d\n",
+			sg.Generation(), sg.Leaves(), sg.Window(), sg.Compositions())
+	}
 	return nil
 }
 

@@ -222,9 +222,8 @@ func (e *Engine) Registry() *obs.Registry { return e.reg }
 //   - with a store: store_hits, store_misses, store_appends,
 //     store_corrupt_records;
 //   - with the banded fast path: requests_banded, band_fallbacks;
-//   - once streams open: streams_opened, stream_appends, stream_slides;
-//   - once stream groups open: stream_groups_opened,
-//     stream_group_patterns, stream_group_appends, stream_group_slides.
+//   - once a stream group opens (single-pattern streams included):
+//     streams_opened, stream_appends, stream_slides.
 //
 // cache_bytes and requests_inflight are gauges; every other value only
 // grows.

@@ -2,6 +2,7 @@ package query
 
 import (
 	"context"
+	"fmt"
 	"sync/atomic"
 
 	"semilocal/internal/core"
@@ -9,17 +10,17 @@ import (
 	"semilocal/internal/stream"
 )
 
-// StreamGroup is the engine's serving handle over one multi-pattern
-// streaming session group (internal/stream): P fixed patterns against
-// one shared, chunked, optionally sliding window of text, all spines
+// StreamGroup is the engine's serving handle over one streaming
+// session group (internal/stream): P ≥ 1 fixed patterns against one
+// shared, chunked, optionally sliding window of text, all spines
 // mutated in lockstep with the chunk's text-side work shared across
-// patterns. Mutations go through the same hardening as single-pattern
-// streams — the default per-request deadline bounds each group append,
-// and transient failures retry under the engine's RetryPolicy with
-// backoff (the group guarantees a failed mutation touched no spine, so
-// blind re-issue is correct for all P patterns at once). Reads never
-// block on mutations: Query caches one prepared session per pattern per
-// published generation.
+// patterns. A single-pattern stream is a group of one. Mutations go
+// through the engine's hardening — the default per-request deadline
+// bounds each append, and transient failures retry under the engine's
+// RetryPolicy with backoff (the group guarantees a failed mutation
+// touched no spine, so blind re-issue is correct for all P patterns at
+// once). Reads never block on mutations: Query caches one prepared
+// session per pattern per published generation.
 //
 // All methods are safe for concurrent use. Closing the engine fails
 // subsequent mutations with ErrEngineClosed while already-published
@@ -34,17 +35,24 @@ type StreamGroup struct {
 	cur []atomic.Pointer[streamGen] // per-pattern prepared-session cache
 }
 
+// streamGen caches the prepared query session of one published kernel
+// generation.
+type streamGen struct {
+	gen  uint64
+	sess *Session
+}
+
 // OpenStreamGroup opens a streaming session group over the given
 // patterns, wired to the engine's observability, chaos injection,
 // worker pool, deadline, and retry policy. Leaf chunks are combed with
-// the sequential variant of the engine's solve configuration, like
-// OpenStream; the group fans per-pattern work out across the engine's
-// pool instead.
+// the sequential variant of the engine's solve configuration: chunks
+// are small relative to the window, so intra-solve parallelism would
+// pay pure overhead per append; the group fans per-pattern work out
+// across the engine's pool instead.
 //
-// The group counters (stream_groups_opened, stream_group_patterns,
-// stream_group_appends, stream_group_slides) register in the engine's
-// stats on first use, so engines that never open groups report the same
-// counter set as before.
+// The stream counters (streams_opened, stream_appends, stream_slides)
+// register in the engine's stats on first use, so engines that never
+// stream report the same counter set as before.
 func (e *Engine) OpenStreamGroup(patterns [][]byte) (*StreamGroup, error) {
 	if e.closed.Load() {
 		return nil, ErrEngineClosed
@@ -63,13 +71,12 @@ func (e *Engine) OpenStreamGroup(patterns [][]byte) (*StreamGroup, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.reg.Counter("stream_groups_opened").Inc()
-	e.reg.Counter("stream_group_patterns").Add(int64(g.Patterns()))
+	e.reg.Counter("streams_opened").Inc()
 	return &StreamGroup{
 		e:       e,
 		g:       g,
-		appends: e.reg.Counter("stream_group_appends"),
-		slides:  e.reg.Counter("stream_group_slides"),
+		appends: e.reg.Counter("stream_appends"),
+		slides:  e.reg.Counter("stream_slides"),
 		cur:     make([]atomic.Pointer[streamGen], g.Patterns()),
 	}, nil
 }
@@ -105,7 +112,7 @@ func (sg *StreamGroup) mutate(ctx context.Context, op func() error) error {
 		ctx, cancel = context.WithTimeout(ctx, sg.e.deadline)
 		defer cancel()
 	}
-	return sg.e.retryTransient(ctx, "stream group mutation", func() error {
+	return sg.e.retryTransient(ctx, "stream mutation", func() error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -129,10 +136,13 @@ func (sg *StreamGroup) Session(i int) *Session {
 }
 
 // Query answers one request kind against pattern i's latest published
-// generation, validating ranges like BatchSolve does (errors instead of
-// panics). Request.A/B, Config and Timeout are ignored: the pair is
-// pattern i and the shared window.
+// generation, validating the pattern index and ranges like BatchSolve
+// does (errors instead of panics). Request.A/B, Config and Timeout are
+// ignored: the pair is pattern i and the shared window.
 func (sg *StreamGroup) Query(i int, req Request) Result {
+	if i < 0 || i >= len(sg.cur) {
+		return Result{Err: fmt.Errorf("query: pattern index %d out of range (%d patterns)", i, len(sg.cur))}
+	}
 	sess := sg.Session(i)
 	if err := req.Kind.validate(req.From, req.To, req.Width, sess.M(), sess.N()); err != nil {
 		return Result{Err: err}

@@ -184,10 +184,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStream serves POST /v1/stream: the whole op script runs in
-// order against one engine stream. A failed mutation reports in its
-// slot and leaves the window on the previous generation, so later ops
-// still answer against a consistent state — the same semantics as the
-// CLI -stream mode.
+// order against one engine stream group. A failed mutation reports in
+// its slot and touched no spine, so later ops still answer against a
+// consistent group-wide generation — the same semantics as the CLI
+// -stream mode.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	sp := s.rec.Start(obs.StageServerRequest)
 	defer sp.End()
@@ -203,17 +203,9 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("server: script of %d ops exceeds limit %d", len(sr.Ops), s.maxBatch))
 		return
 	}
-	if len(sr.Patterns) > 0 || len(sr.Patterns64) > 0 {
-		s.handleStreamGroup(w, r, sr)
-		return
-	}
-	pattern, err := pairBytes(sr.Pattern, sr.Pattern64, "pattern")
+	patterns, err := s.groupPatterns(sr)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if len(pattern) > s.maxPair {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("server: pattern %d bytes exceeds limit %d", len(pattern), s.maxPair))
 		return
 	}
 	n := len(sr.Ops)
@@ -229,7 +221,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.tenants.release(sr.Tenant, n)
 
-	st, err := s.eng.OpenStream(pattern)
+	sg, err := s.eng.OpenStreamGroup(patterns)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
@@ -237,17 +229,31 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	results := make([]StreamOpResult, n)
 	ctx := r.Context()
 	for i, op := range sr.Ops {
-		results[i] = s.streamOp(ctx, st, op)
+		results[i] = s.streamGroupOp(ctx, sg, op)
 	}
-	writeJSON(w, http.StatusOK, StreamResponse{Results: results})
+	writeJSON(w, http.StatusOK, StreamResponse{
+		Patterns: sg.Patterns(),
+		Distinct: sg.DistinctPatterns(),
+		Results:  results,
+	})
 }
 
-// groupPatterns resolves and validates the multi-pattern set of a
-// group stream request: one spelling only, at most maxBatch patterns,
-// and at most maxPair total pattern bytes (group leaf work per append
-// scales with the distinct pattern mass, so the wire bounds it like an
-// input pair).
+// groupPatterns resolves and validates the pattern set of a stream
+// request: pattern/pattern64 is a set of one, patterns/patterns64 a set
+// of several. One spelling only, at most maxBatch patterns, and at most
+// maxPair total pattern bytes (group leaf work per append scales with
+// the distinct pattern mass, so the wire bounds it like an input pair).
 func (s *Server) groupPatterns(sr StreamRequest) ([][]byte, error) {
+	if len(sr.Patterns) == 0 && len(sr.Patterns64) == 0 {
+		pattern, err := pairBytes(sr.Pattern, sr.Pattern64, "pattern")
+		if err != nil {
+			return nil, err
+		}
+		if len(pattern) > s.maxPair {
+			return nil, fmt.Errorf("server: pattern %d bytes exceeds limit %d", len(pattern), s.maxPair)
+		}
+		return [][]byte{pattern}, nil
+	}
 	if sr.Pattern != "" || sr.Pattern64 != "" {
 		return nil, errors.New("server: both pattern and patterns set")
 	}
@@ -283,46 +289,6 @@ func (s *Server) groupPatterns(sr StreamRequest) ([][]byte, error) {
 	return patterns, nil
 }
 
-// handleStreamGroup serves the multi-pattern form of POST /v1/stream:
-// the whole op script runs against one session group. Mutation
-// semantics are the group's — a failed append or slide touched no
-// spine, so later ops still answer against a consistent group-wide
-// generation.
-func (s *Server) handleStreamGroup(w http.ResponseWriter, r *http.Request, sr StreamRequest) {
-	patterns, err := s.groupPatterns(sr)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	n := len(sr.Ops)
-	s.requests.Add(int64(n))
-
-	// All-or-nothing admission, as for single-pattern scripts.
-	if admitted := s.tenants.admit(sr.Tenant, n); admitted < n {
-		s.tenants.release(sr.Tenant, admitted)
-		s.rejects.Add(int64(n))
-		httpError(w, http.StatusTooManyRequests, ErrTenantQuota.Error())
-		return
-	}
-	defer s.tenants.release(sr.Tenant, n)
-
-	sg, err := s.eng.OpenStreamGroup(patterns)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	results := make([]StreamOpResult, n)
-	ctx := r.Context()
-	for i, op := range sr.Ops {
-		results[i] = s.streamGroupOp(ctx, sg, op)
-	}
-	writeJSON(w, http.StatusOK, StreamResponse{
-		Patterns: sg.Patterns(),
-		Distinct: sg.DistinctPatterns(),
-		Results:  results,
-	})
-}
-
 // streamGroupOp executes one op against the session group.
 func (s *Server) streamGroupOp(ctx context.Context, sg *query.StreamGroup, op WireOp) StreamOpResult {
 	fail := func(err error) StreamOpResult {
@@ -345,9 +311,6 @@ func (s *Server) streamGroupOp(ctx context.Context, sg *query.StreamGroup, op Wi
 			return fail(err)
 		}
 	case "query":
-		if op.Pat < 0 || op.Pat >= sg.Patterns() {
-			return fail(fmt.Errorf("server: pattern index %d out of range (%d patterns)", op.Pat, sg.Patterns()))
-		}
 		kind, err := query.ParseKind(op.Kind)
 		if err != nil {
 			return fail(err)
@@ -365,49 +328,6 @@ func (s *Server) streamGroupOp(ctx context.Context, sg *query.StreamGroup, op Wi
 		return fail(fmt.Errorf("server: unknown op %q (want append, slide or query)", op.Op))
 	}
 	return StreamOpResult{Gen: sg.Generation(), Window: sg.Window(), Leaves: sg.Leaves()}
-}
-
-// streamOp executes one op against the stream.
-func (s *Server) streamOp(ctx context.Context, st *query.Stream, op WireOp) StreamOpResult {
-	fail := func(err error) StreamOpResult {
-		return StreamOpResult{Error: err.Error(), ErrorKind: errorKind(err)}
-	}
-	switch op.Op {
-	case "append":
-		chunk, err := pairBytes(op.Chunk, op.Chunk64, "chunk")
-		if err != nil {
-			return fail(err)
-		}
-		if len(chunk) > s.maxPair {
-			return fail(fmt.Errorf("server: chunk %d bytes exceeds limit %d: %w", len(chunk), s.maxPair, errPairTooLarge))
-		}
-		if err := st.Append(ctx, chunk); err != nil {
-			return fail(err)
-		}
-	case "slide":
-		if err := st.Slide(ctx, op.N); err != nil {
-			return fail(err)
-		}
-	case "query":
-		if op.Pat != 0 {
-			return fail(fmt.Errorf("server: pattern index %d on a single-pattern stream (use patterns for group mode)", op.Pat))
-		}
-		kind, err := query.ParseKind(op.Kind)
-		if err != nil {
-			return fail(err)
-		}
-		res := st.Query(query.Request{Kind: kind, From: op.From, To: op.To, Width: op.Width})
-		if res.Err != nil {
-			return fail(res.Err)
-		}
-		return StreamOpResult{
-			Score: res.Score, From: res.From, Windows: res.Windows,
-			Gen: st.Generation(), Window: st.Window(), Leaves: st.Leaves(),
-		}
-	default:
-		return fail(fmt.Errorf("server: unknown op %q (want append, slide or query)", op.Op))
-	}
-	return StreamOpResult{Gen: st.Generation(), Window: st.Window(), Leaves: st.Leaves()}
 }
 
 // handleMetrics serves the Prometheus text exposition: the stage

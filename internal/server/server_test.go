@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -311,122 +312,34 @@ func TestServerTenantQuota(t *testing.T) {
 	}
 }
 
-// TestServerStreamDifferential: a stream op script over HTTP answers
-// exactly like driving query.Stream directly.
-func TestServerStreamDifferential(t *testing.T) {
-	pattern := "semilocal-stream-pattern"
-	ops := []WireOp{
-		{Op: "append", Chunk: "the quick brown fox jumps over"},
-		{Op: "query", Kind: "score"},
-		{Op: "append", Chunk: " the lazy dog"},
-		{Op: "query", Kind: "best-window", Width: 9},
-		{Op: "slide", N: 1},
-		{Op: "query", Kind: "windows", Width: 6},
-		{Op: "query", Kind: "suffix-prefix", From: 2, To: 8},
-	}
-
-	// Direct oracle.
-	e := query.NewEngine(query.Options{})
-	defer e.Close()
-	st, err := e.OpenStream([]byte(pattern))
-	if err != nil {
-		t.Fatalf("OpenStream: %v", err)
-	}
-	ctx := context.Background()
-	var want []query.Result
-	for _, op := range ops {
-		switch op.Op {
-		case "append":
-			if err := st.Append(ctx, []byte(op.Chunk)); err != nil {
-				t.Fatalf("direct append: %v", err)
-			}
-			want = append(want, query.Result{})
-		case "slide":
-			if err := st.Slide(ctx, op.N); err != nil {
-				t.Fatalf("direct slide: %v", err)
-			}
-			want = append(want, query.Result{})
-		case "query":
-			kind, err := query.ParseKind(op.Kind)
-			if err != nil {
-				t.Fatalf("kind: %v", err)
-			}
-			res := st.Query(query.Request{Kind: kind, From: op.From, To: op.To, Width: op.Width})
-			if res.Err != nil {
-				t.Fatalf("direct query: %v", res.Err)
-			}
-			want = append(want, res)
-		}
-	}
-
-	_, ts := newTestServer(t, Config{})
-	var resp StreamResponse
-	if code := postJSON(t, ts.URL+"/v1/stream", StreamRequest{Pattern: pattern, Ops: ops}, &resp); code != http.StatusOK {
-		t.Fatalf("status = %d", code)
-	}
-	if len(resp.Results) != len(ops) {
-		t.Fatalf("got %d op results, want %d", len(resp.Results), len(ops))
-	}
-	for i, r := range resp.Results {
-		if r.Error != "" {
-			t.Fatalf("op %d failed over HTTP: %s (%s)", i, r.Error, r.ErrorKind)
-		}
-		if ops[i].Op != "query" {
-			continue
-		}
-		if r.Score != want[i].Score || r.From != want[i].From || len(r.Windows) != len(want[i].Windows) {
-			t.Errorf("op %d: HTTP %+v != direct %+v", i, r, want[i])
-		}
-		for j := range r.Windows {
-			if r.Windows[j] != want[i].Windows[j] {
-				t.Errorf("op %d window %d diverged", i, j)
-			}
-		}
-	}
-}
-
-// TestServerStreamGroupDifferential: the multi-pattern form of
-// /v1/stream answers every pattern's queries exactly like independent
-// single-pattern engine streams fed the same chunks, while reporting
-// the duplicate-collapsed spine count.
-func TestServerStreamGroupDifferential(t *testing.T) {
-	patterns := []string{"gattaca", "tac", "gattaca", "quick brown"}
-	ops := []WireOp{
-		{Op: "append", Chunk: "the quick brown fox"},
-		{Op: "query", Kind: "score"},
-		{Op: "query", Kind: "score", Pat: 1},
-		{Op: "append", Chunk: " jumps over the lazy dog"},
-		{Op: "query", Kind: "best-window", Width: 7, Pat: 3},
-		{Op: "query", Kind: "windows", Width: 5, Pat: 1},
-		{Op: "slide", N: 1},
-		{Op: "query", Kind: "score", Pat: 2},
-		{Op: "query", Kind: "suffix-prefix", From: 1, To: 6, Pat: 0},
-	}
-
-	// Direct oracle: one independent engine stream per pattern.
+// directStreamAnswers replays ops against one independent engine
+// stream per pattern — a group of one each — and returns the direct
+// answer for every op slot (zero Results for mutations).
+func directStreamAnswers(t *testing.T, patterns []string, ops []WireOp) []query.Result {
+	t.Helper()
 	e := query.NewEngine(query.Options{})
 	defer e.Close()
 	ctx := context.Background()
-	sts := make([]*query.Stream, len(patterns))
+	sgs := make([]*query.StreamGroup, len(patterns))
 	for i, p := range patterns {
 		var err error
-		if sts[i], err = e.OpenStream([]byte(p)); err != nil {
-			t.Fatalf("OpenStream %d: %v", i, err)
+		if sgs[i], err = e.OpenStreamGroup([][]byte{[]byte(p)}); err != nil {
+			t.Fatalf("OpenStreamGroup %d: %v", i, err)
 		}
 	}
 	var want []query.Result
 	for _, op := range ops {
 		switch op.Op {
 		case "append":
-			for i := range sts {
-				if err := sts[i].Append(ctx, []byte(op.Chunk)); err != nil {
+			for _, sg := range sgs {
+				if err := sg.Append(ctx, []byte(op.Chunk)); err != nil {
 					t.Fatalf("direct append: %v", err)
 				}
 			}
 			want = append(want, query.Result{})
 		case "slide":
-			for i := range sts {
-				if err := sts[i].Slide(ctx, op.N); err != nil {
+			for _, sg := range sgs {
+				if err := sg.Slide(ctx, op.N); err != nil {
 					t.Fatalf("direct slide: %v", err)
 				}
 			}
@@ -436,22 +349,20 @@ func TestServerStreamGroupDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("kind: %v", err)
 			}
-			res := sts[op.Pat].Query(query.Request{Kind: kind, From: op.From, To: op.To, Width: op.Width})
+			res := sgs[op.Pat].Query(0, query.Request{Kind: kind, From: op.From, To: op.To, Width: op.Width})
 			if res.Err != nil {
 				t.Fatalf("direct query: %v", res.Err)
 			}
 			want = append(want, res)
 		}
 	}
+	return want
+}
 
-	_, ts := newTestServer(t, Config{})
-	var resp StreamResponse
-	if code := postJSON(t, ts.URL+"/v1/stream", StreamRequest{Patterns: patterns, Ops: ops}, &resp); code != http.StatusOK {
-		t.Fatalf("status = %d", code)
-	}
-	if resp.Patterns != 4 || resp.Distinct != 3 {
-		t.Fatalf("patterns=%d distinct=%d, want 4 and 3 (duplicate gattaca collapses)", resp.Patterns, resp.Distinct)
-	}
+// checkStreamAnswers asserts that every op of an HTTP stream response
+// succeeded and that every query answered exactly like the direct run.
+func checkStreamAnswers(t *testing.T, resp StreamResponse, ops []WireOp, want []query.Result) {
+	t.Helper()
 	if len(resp.Results) != len(ops) {
 		t.Fatalf("got %d op results, want %d", len(resp.Results), len(ops))
 	}
@@ -474,6 +385,70 @@ func TestServerStreamGroupDifferential(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestServerStreamDifferential: a single-pattern stream op script over
+// HTTP answers exactly like driving an engine stream group of one
+// directly, and the pattern and patterns spellings of the same one
+// pattern give byte-for-byte the same response.
+func TestServerStreamDifferential(t *testing.T) {
+	pattern := "semilocal-stream-pattern"
+	ops := []WireOp{
+		{Op: "append", Chunk: "the quick brown fox jumps over"},
+		{Op: "query", Kind: "score"},
+		{Op: "append", Chunk: " the lazy dog"},
+		{Op: "query", Kind: "best-window", Width: 9},
+		{Op: "slide", N: 1},
+		{Op: "query", Kind: "windows", Width: 6},
+		{Op: "query", Kind: "suffix-prefix", From: 2, To: 8},
+	}
+	want := directStreamAnswers(t, []string{pattern}, ops)
+
+	_, ts := newTestServer(t, Config{})
+	var single, set StreamResponse
+	if code := postJSON(t, ts.URL+"/v1/stream", StreamRequest{Pattern: pattern, Ops: ops}, &single); code != http.StatusOK {
+		t.Fatalf("pattern status = %d", code)
+	}
+	if single.Patterns != 1 || single.Distinct != 1 {
+		t.Fatalf("patterns=%d distinct=%d, want 1 and 1", single.Patterns, single.Distinct)
+	}
+	checkStreamAnswers(t, single, ops, want)
+	if code := postJSON(t, ts.URL+"/v1/stream", StreamRequest{Patterns: []string{pattern}, Ops: ops}, &set); code != http.StatusOK {
+		t.Fatalf("patterns status = %d", code)
+	}
+	if !reflect.DeepEqual(single, set) {
+		t.Fatalf("pattern and one-element patterns diverged:\n%+v\n%+v", single, set)
+	}
+}
+
+// TestServerStreamGroupDifferential: the multi-pattern form of
+// /v1/stream answers every pattern's queries exactly like independent
+// single-pattern engine streams fed the same chunks, while reporting
+// the duplicate-collapsed spine count.
+func TestServerStreamGroupDifferential(t *testing.T) {
+	patterns := []string{"gattaca", "tac", "gattaca", "quick brown"}
+	ops := []WireOp{
+		{Op: "append", Chunk: "the quick brown fox"},
+		{Op: "query", Kind: "score"},
+		{Op: "query", Kind: "score", Pat: 1},
+		{Op: "append", Chunk: " jumps over the lazy dog"},
+		{Op: "query", Kind: "best-window", Width: 7, Pat: 3},
+		{Op: "query", Kind: "windows", Width: 5, Pat: 1},
+		{Op: "slide", N: 1},
+		{Op: "query", Kind: "score", Pat: 2},
+		{Op: "query", Kind: "suffix-prefix", From: 1, To: 6, Pat: 0},
+	}
+	want := directStreamAnswers(t, patterns, ops)
+
+	_, ts := newTestServer(t, Config{})
+	var resp StreamResponse
+	if code := postJSON(t, ts.URL+"/v1/stream", StreamRequest{Patterns: patterns, Ops: ops}, &resp); code != http.StatusOK {
+		t.Fatalf("status = %d", code)
+	}
+	if resp.Patterns != 4 || resp.Distinct != 3 {
+		t.Fatalf("patterns=%d distinct=%d, want 4 and 3 (duplicate gattaca collapses)", resp.Patterns, resp.Distinct)
+	}
+	checkStreamAnswers(t, resp, ops, want)
 }
 
 // TestServerStreamGroupErrors pins the group wire's failure surface:
@@ -519,9 +494,9 @@ func TestServerStreamGroupErrors(t *testing.T) {
 		}
 	}
 
-	// Per-op failures: out-of-range pattern index in group mode, and a
-	// pattern index on a single-pattern stream — each fails its slot
-	// only, later ops keep answering.
+	// Per-op failures: an out-of-range pattern index, for several
+	// patterns or for one, fails its slot only; later ops keep
+	// answering.
 	var resp StreamResponse
 	if code := postJSON(t, ts.URL+"/v1/stream", StreamRequest{
 		Patterns: []string{"ab", "ba"},
@@ -551,7 +526,7 @@ func TestServerStreamGroupErrors(t *testing.T) {
 		t.Fatalf("single status = %d", code)
 	}
 	if sresp.Results[1].ErrorKind != "invalid" {
-		t.Errorf("pat on a single-pattern stream must fail typed: %+v", sresp.Results[1])
+		t.Errorf("out-of-range pattern index on a one-pattern stream must fail typed: %+v", sresp.Results[1])
 	}
 }
 

@@ -69,14 +69,15 @@ type BatchResponse struct {
 }
 
 // StreamRequest is the body of POST /v1/stream: one op script executed
-// in order against a streaming session for Pattern.
+// in order against a streaming session group over the request's
+// patterns. Every append/slide mutates all pattern spines in lockstep
+// with the chunk's text-side work shared across patterns, and query ops
+// address a pattern by index via WireOp.Pat.
 //
-// Setting Patterns (or Patterns64) instead runs the script against a
-// multi-pattern session group: every append/slide mutates all pattern
-// spines in lockstep with the chunk's text-side work shared across
-// patterns, and query ops address a pattern by index via WireOp.Pat.
-// Exactly one spelling of the pattern set may be used —
-// Pattern/Pattern64 and Patterns/Patterns64 are mutually exclusive.
+// Pattern (or Pattern64) is the one-pattern spelling of the set;
+// Patterns (or Patterns64) lists several. Exactly one spelling may be
+// used — Pattern/Pattern64 and Patterns/Patterns64 are mutually
+// exclusive.
 type StreamRequest struct {
 	Tenant    string   `json:"tenant,omitempty"`
 	Pattern   string   `json:"pattern,omitempty"`
@@ -89,9 +90,9 @@ type StreamRequest struct {
 }
 
 // WireOp is one stream operation: {"op":"append","chunk":...},
-// {"op":"slide","n":...}, or {"op":"query","kind":...,...}. In group
-// mode a query op answers for pattern index Pat (default 0); append
-// and slide always mutate the whole group.
+// {"op":"slide","n":...}, or {"op":"query","kind":...,...}. A query op
+// answers for pattern index Pat (default 0); append and slide always
+// mutate the whole group.
 type WireOp struct {
 	Op      string `json:"op"`
 	Chunk   string `json:"chunk,omitempty"`
@@ -105,8 +106,8 @@ type WireOp struct {
 }
 
 // StreamOpResult is one executed op: mutations report the published
-// generation, queries report their answer (echoing the group pattern
-// index in Pat), failures carry the error in place (later ops still
+// generation, queries report their answer (echoing the pattern index
+// in Pat), failures carry the error in place (later ops still
 // run against the last consistent generation).
 type StreamOpResult struct {
 	Gen       uint64 `json:"gen,omitempty"`
@@ -120,12 +121,12 @@ type StreamOpResult struct {
 	ErrorKind string `json:"error_kind,omitempty"`
 }
 
-// StreamResponse is the body of a successful /v1/stream call. Group
-// calls additionally report the pattern count and the number of
-// distinct spines actually maintained (duplicate patterns collapse).
+// StreamResponse is the body of a successful /v1/stream call: the
+// pattern count, the number of distinct spines actually maintained
+// (duplicate patterns collapse), and one result per op.
 type StreamResponse struct {
-	Patterns int              `json:"patterns,omitempty"`
-	Distinct int              `json:"distinct,omitempty"`
+	Patterns int              `json:"patterns"`
+	Distinct int              `json:"distinct"`
 	Results  []StreamOpResult `json:"results"`
 }
 

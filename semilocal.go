@@ -287,17 +287,12 @@ type StreamState = stream.State
 
 // NewStreamSession opens a standalone streaming session for pattern a
 // (no engine: no deadline or retry semantics; pair it with NewSession
-// for prepared queries). For the hardened serving path use
-// Engine.OpenStream, which returns an EngineStream.
+// for prepared queries). For the hardened serving path open a group of
+// one with Engine.OpenStreamGroup([][]byte{a}), which returns an
+// EngineStreamGroup: every engine-served stream is a session group.
 func NewStreamSession(a []byte, cfg StreamConfig) (*StreamSession, error) {
 	return stream.New(a, cfg)
 }
-
-// EngineStream is a streaming session served through an Engine:
-// mutations run under the engine's deadline and transient-retry
-// policy, and queries hit a per-generation prepared session cache.
-// Open one with Engine.OpenStream.
-type EngineStream = query.Stream
 
 // Multi-pattern streaming: a session group holds P fixed patterns
 // against one shared chunked window and mutates every per-pattern
@@ -327,8 +322,9 @@ func NewStreamGroup(patterns [][]byte, cfg StreamGroupConfig) (*StreamGroup, err
 	return stream.NewGroup(patterns, cfg)
 }
 
-// EngineStreamGroup is a session group served through an Engine:
-// group mutations run under the engine's deadline and transient-retry
+// EngineStreamGroup is a session group of P ≥ 1 patterns served
+// through an Engine — a single-pattern stream is a group of one. Group
+// mutations run under the engine's deadline and transient-retry
 // policy (a failed mutation touched no spine, so re-issue is safe for
 // all P patterns at once), and per-pattern queries hit a
 // per-generation prepared session cache. Open one with
