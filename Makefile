@@ -161,6 +161,7 @@ fuzz:
 	go test -fuzz FuzzKernelAgreement -fuzztime 30s ./internal/combing
 	go test -fuzz FuzzBinaryScore -fuzztime 30s ./internal/bitlcs
 	go test -fuzz FuzzMultiply -fuzztime 30s ./internal/steadyant
+	go test -fuzz FuzzCompose -fuzztime 30s ./internal/steadyant
 	go test -fuzz FuzzDifferential -fuzztime 30s ./internal/core
 	go test -fuzz FuzzEditWindows -fuzztime 30s ./internal/editdist
 	go test -fuzz FuzzSessionQueries -fuzztime 30s ./internal/query
@@ -178,6 +179,7 @@ fuzz-smoke:
 	go test -fuzz FuzzKernelAgreement -fuzztime 10s ./internal/combing
 	go test -fuzz FuzzBinaryScore -fuzztime 10s ./internal/bitlcs
 	go test -fuzz FuzzMultiply -fuzztime 10s ./internal/steadyant
+	go test -fuzz FuzzCompose -fuzztime 10s ./internal/steadyant
 	go test -fuzz FuzzDifferential -fuzztime 10s ./internal/core
 	go test -fuzz FuzzEditWindows -fuzztime 10s ./internal/editdist
 	go test -fuzz FuzzSessionQueries -fuzztime 10s ./internal/query

@@ -6,9 +6,10 @@ import (
 
 // Incremental kernel maintenance: Theorem 3.4 lets a kernel grow with
 // its strings. Appending a suffix to a costs one solve over the suffix
-// plus one braid multiplication of order m+m'+n — far cheaper than
-// re-solving when the suffix is short, and the basis for streaming
-// comparison.
+// plus one braid multiplication of the overlap order n = |b| (the
+// other m+m' strands are copied through in linear time) — far cheaper
+// than re-solving when the suffix is short, and the basis for streaming
+// comparison. ExtendB is the mirror image: its overlap is m = |a|.
 
 // ExtendA returns the kernel of (a+suffix, b), where k is the kernel of
 // (a, b) and b is the same string k was computed for. The suffix strip

@@ -156,8 +156,10 @@ const (
 	CounterCombDiags
 	// CounterComposes counts steady-ant multiplications.
 	CounterComposes
-	// CounterComposeOrder sums the permutation order over all
-	// multiplications.
+	// CounterComposeOrder sums the order actually multiplied over all
+	// multiplications. A kernel composition multiplies only its overlap
+	// (the strands of the shared string), so this is the overlap order,
+	// not the order of the composed kernel.
 	CounterComposeOrder
 	// CounterArenaBytes sums the arena bytes allocated by observed
 	// multiplications (the 8N-word flip-flop blocks plus mapping and
@@ -176,7 +178,9 @@ const (
 	CounterFaultsInjected
 	// CounterStreamAppends counts chunks appended to streaming sessions
 	// (slides included: a slide is the append-shaped mutation of the
-	// other direction and shares the deadline/retry semantics).
+	// other direction and shares the deadline/retry semantics). Only
+	// mutations that publish a generation count; empty appends, zero
+	// slides and rejected mutations do not.
 	CounterStreamAppends
 	// CounterStreamComposes counts steady-ant compositions performed by
 	// streaming sessions — spine merges, publish folds, and slide
@@ -193,7 +197,8 @@ const (
 	// CounterTuneProbes counts calibration micro-benchmark probes.
 	CounterTuneProbes
 	// CounterStreamGroupAppends counts group-wide mutations (appends and
-	// slides) applied to multi-pattern streaming session groups.
+	// slides) applied to multi-pattern streaming session groups: those
+	// that published a generation, as for CounterStreamAppends.
 	CounterStreamGroupAppends
 	// CounterStreamGroupPatterns sums the patterns fanned out to per
 	// group mutation — divided by CounterStreamGroupAppends it gives the

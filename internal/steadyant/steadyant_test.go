@@ -154,30 +154,6 @@ func TestRank5(t *testing.T) {
 	}
 }
 
-func TestDirectSum(t *testing.T) {
-	a := perm.New([]int32{1, 0})
-	b := perm.New([]int32{2, 0, 1})
-	s := DirectSum(a, b)
-	want := []int32{1, 0, 4, 2, 3}
-	for i, w := range want {
-		if s.Col(i) != int(w) {
-			t.Fatalf("DirectSum wrong at %d: %v", i, s.RowToCol())
-		}
-	}
-	// Direct sums multiply blockwise under the sticky product.
-	rng := rand.New(rand.NewSource(26))
-	for trial := 0; trial < 20; trial++ {
-		n1, n2 := 1+rng.Intn(10), 1+rng.Intn(10)
-		p1, q1 := perm.Random(n1, rng), perm.Random(n1, rng)
-		p2, q2 := perm.Random(n2, rng), perm.Random(n2, rng)
-		got := Multiply(DirectSum(p1, p2), DirectSum(q1, q2))
-		want := DirectSum(Multiply(p1, q1), Multiply(p2, q2))
-		if !got.Equal(want) {
-			t.Fatalf("(p1⊕p2)⊙(q1⊕q2) ≠ (p1⊙q1)⊕(p2⊙q2) at n1=%d n2=%d", n1, n2)
-		}
-	}
-}
-
 func TestMultiplyWithBaseSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	for trial := 0; trial < 25; trial++ {

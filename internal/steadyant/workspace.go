@@ -7,7 +7,8 @@ import "semilocal/internal/recycle"
 // multiplyArena allocates per call, retained across calls so repeated
 // multiplications of bounded order allocate nothing in steady state.
 // Streaming sessions lean on this: every spine composition of an
-// append reuses one workspace instead of paying a fresh arena.
+// append reuses one workspace (ComposeInto) instead of paying a fresh
+// arena and overlap scratch.
 //
 // A Workspace is single-threaded by design (the arena's depth-first
 // recursion assumes one live node per depth); callers that multiply
@@ -24,6 +25,7 @@ type Workspace struct {
 	blkB    arenaBlock
 	ar      arena
 	pool    recycle.Pool[int32] // retired backing + colRank buffers
+	ov      overlap             // ComposeInto's reduced pair and maps
 }
 
 // grow ensures the retained storage fits order n. Growth allocates (or
@@ -83,11 +85,12 @@ func (w *Workspace) MultiplyInto(p, q, dst []int32) {
 }
 
 // Warm grows the workspace to order n and builds the precalc table, so
-// a later timed or alloc-audited multiplication at order ≤ n pays no
-// one-time costs.
+// a later timed or alloc-audited multiplication at order ≤ n, or
+// composition with overlap order ≤ n, pays no one-time costs.
 func (w *Workspace) Warm(n int) {
 	WarmPrecalc()
 	w.grow(n)
+	w.ov.grow(n)
 	// Touch every depth's mapping buffer the way the recursion will:
 	// the first multiplication at each size otherwise still appends to
 	// the per-depth maps slice.

@@ -4,29 +4,27 @@ import "semilocal/internal/steadyant"
 
 // composer performs the b-axis kernel composition of Theorem 3.4 —
 // flipped per Theorem 3.5, since the window grows along b — without
-// allocating: the two direct-sum operands are built in retained
-// scratch with the 180° rotations fused into the index arithmetic, the
-// braid multiplication runs in a retained steadyant.Workspace, and the
-// product is un-rotated in place in the caller's destination buffer.
-//
-// The reference formulation (internal/hybrid.composeB) is
+// allocating: both kernels are rotated by 180° into retained scratch,
+// composed by steadyant.Workspace.ComposeInto (whose steady ant runs
+// only on the m pattern strands the two pieces share), and the product
+// is un-rotated in place in the caller's destination buffer:
 //
 //	P(a, b'b'') = rot180( (I_{n2} ⊕ rot180(k1)) ⊙ (rot180(k2) ⊕ I_{n1}) )
 //
-// with k1 = P(a,b'), k2 = P(a,b''); the stream differential suite
-// pins bit-identity against it.
+// with k1 = P(a,b'), k2 = P(a,b”). A composition costs O(m+n1+n2)
+// plus one multiplication of order m.
 type composer struct {
-	w           steadyant.Workspace
-	left, right []int32
+	w          steadyant.Workspace
+	rot1, rot2 []int32
 }
 
-// grow ensures the operand scratch fits order n.
+// grow ensures the rotation scratch fits kernels of order n.
 func (c *composer) grow(n int) {
-	if cap(c.left) >= n {
+	if cap(c.rot1) >= n {
 		return
 	}
-	c.left = make([]int32, n)
-	c.right = make([]int32, n)
+	c.rot1 = make([]int32, n)
+	c.rot2 = make([]int32, n)
 }
 
 // warm pre-grows every retained buffer for compositions up to order n,
@@ -42,35 +40,27 @@ func (c *composer) warm(n int) {
 // k2.
 func (c *composer) composeB(k1, k2 []int32, m, n1, n2 int, dst []int32) {
 	N := m + n1 + n2
-	N1 := m + n1 // order of k1
-	N2 := m + n2 // order of k2
-	if len(k1) != N1 || len(k2) != N2 || len(dst) != N {
+	if len(k1) != m+n1 || len(k2) != m+n2 || len(dst) != N {
 		panic("stream: composeB length mismatch")
 	}
-	c.grow(N)
-	left, right := c.left[:N], c.right[:N]
-	// left = I_{n2} ⊕ rot180(k1): rot180(k1)[i] = N1-1 - k1[N1-1-i],
-	// shifted up by the identity block.
-	for i := 0; i < n2; i++ {
-		left[i] = int32(i)
-	}
-	for i := 0; i < N1; i++ {
-		left[n2+i] = int32(n2+N1-1) - k1[N1-1-i]
-	}
-	// right = rot180(k2) ⊕ I_{n1}.
-	for i := 0; i < N2; i++ {
-		right[i] = int32(N2-1) - k2[N2-1-i]
-	}
-	for i := 0; i < n1; i++ {
-		right[N2+i] = int32(N2 + i)
-	}
-	c.w.MultiplyInto(left, right, dst)
-	// Un-rotate the product in place: res[i] = N-1 - product[N-1-i].
+	c.grow(max(len(k1), len(k2)))
+	r1, r2 := rotate180(k1, c.rot1), rotate180(k2, c.rot2)
+	c.w.ComposeInto(r1, r2, n1, n2, m, dst)
+	rotate180(dst, dst)
+}
+
+// rotate180 writes the 180° rotation of the permutation k into dst
+// (dst[i] = N-1 - k[N-1-i], N = len(k)) and returns dst[:N]; dst may
+// alias k.
+func rotate180(k, dst []int32) []int32 {
+	N := len(k)
+	dst = dst[:N]
 	for i, j := 0, N-1; i < j; i, j = i+1, j-1 {
-		dst[i], dst[j] = int32(N-1)-dst[j], int32(N-1)-dst[i]
+		dst[i], dst[j] = int32(N-1)-k[j], int32(N-1)-k[i]
 	}
 	if N%2 == 1 {
 		mid := N / 2
-		dst[mid] = int32(N-1) - dst[mid]
+		dst[mid] = int32(N-1) - k[mid]
 	}
+	return dst
 }

@@ -274,8 +274,6 @@ func (g *Group) Append(chunk []byte) error {
 	}
 	sp := g.rec.Start(obs.StageStreamGroupAppend)
 	defer sp.End()
-	g.rec.Add(obs.CounterStreamGroupAppends, 1)
-	g.rec.Add(obs.CounterStreamGroupPatterns, int64(len(g.pats)))
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if len(chunk) == 0 {
@@ -334,6 +332,8 @@ func (g *Group) Append(chunk []byte) error {
 	g.leaves = append(g.leaves, groupLeaf{n: n, hash: h, pow: pow})
 	g.hash = g.hash*pow + h
 	g.publishLocked()
+	g.rec.Add(obs.CounterStreamGroupAppends, 1)
+	g.rec.Add(obs.CounterStreamGroupPatterns, int64(len(g.pats)))
 	return nil
 }
 
@@ -345,8 +345,6 @@ func (g *Group) Slide(drop int) error {
 	}
 	sp := g.rec.Start(obs.StageStreamGroupAppend)
 	defer sp.End()
-	g.rec.Add(obs.CounterStreamGroupAppends, 1)
-	g.rec.Add(obs.CounterStreamGroupPatterns, int64(len(g.pats)))
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if drop < 0 || drop > len(g.leaves) {
@@ -369,6 +367,8 @@ func (g *Group) Slide(drop int) error {
 		g.hash = g.hash*lf.pow + lf.hash
 	}
 	g.publishLocked()
+	g.rec.Add(obs.CounterStreamGroupAppends, 1)
+	g.rec.Add(obs.CounterStreamGroupPatterns, int64(len(g.pats)))
 	return nil
 }
 

@@ -474,3 +474,72 @@ func TestGroupChaosLatency(t *testing.T) {
 		t.Fatalf("open spans = %d after quiescence, want 0", rec.OpenSpans())
 	}
 }
+
+// TestMutationCountersCountOnlyApplied pins that the mutation counters
+// count mutations that published a generation: an empty append, a zero
+// slide and a rejected slide leave the generation — and the counters —
+// where they were, for a group and for a bare session alike.
+func TestMutationCountersCountOnlyApplied(t *testing.T) {
+	rec := obs.New()
+	g, err := NewGroup([][]byte{[]byte("ab"), []byte("ba")}, GroupConfig{Obs: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Append(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Slide(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Slide(1); err == nil {
+		t.Fatal("slide past the window accepted")
+	}
+	if gen := g.Generation(); gen != 0 {
+		t.Fatalf("no-op mutations published generation %d", gen)
+	}
+	if got := rec.Counter(obs.CounterStreamGroupAppends); got != 0 {
+		t.Fatalf("stream_group_appends = %d after only no-op mutations, want 0", got)
+	}
+	if got := rec.Counter(obs.CounterStreamGroupPatterns); got != 0 {
+		t.Fatalf("stream_group_patterns = %d after only no-op mutations, want 0", got)
+	}
+	if err := g.Append([]byte("abba")); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Slide(1); err != nil {
+		t.Fatal(err)
+	}
+	if got := rec.Counter(obs.CounterStreamGroupAppends); got != 2 {
+		t.Fatalf("stream_group_appends = %d after two applied mutations, want 2", got)
+	}
+	if got := rec.Counter(obs.CounterStreamGroupPatterns); got != 4 {
+		t.Fatalf("stream_group_patterns = %d, want 4 (2 patterns × 2 mutations)", got)
+	}
+
+	srec := obs.New()
+	s, err := New([]byte("ab"), Config{Obs: srec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Slide(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Slide(-1); err == nil {
+		t.Fatal("negative slide accepted")
+	}
+	if got := srec.Counter(obs.CounterStreamAppends); got != 0 {
+		t.Fatalf("appends_total = %d after only no-op mutations, want 0", got)
+	}
+	if err := s.Append([]byte("ba")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Slide(1); err != nil {
+		t.Fatal(err)
+	}
+	if got := srec.Counter(obs.CounterStreamAppends); got != 2 {
+		t.Fatalf("appends_total = %d after two applied mutations, want 2", got)
+	}
+}

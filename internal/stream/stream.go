@@ -15,7 +15,10 @@
 // the spine depth stays O(log leaves). The full window kernel is then
 // refolded over the ≤ log₂(leaves)+1 spine nodes and published, so an
 // append costs one leaf comb plus O(log(n/chunk)) compositions
-// amortized — never a from-scratch O(mn) recomb. A window slide drops
+// amortized — never a from-scratch O(mn) recomb. Each composition
+// costs O(window + m log m): only the m pattern strands cross in both
+// pieces, so the steady ant runs at order m and every other strand is
+// copied through (steadyant.Workspace.ComposeInto). A window slide drops
 // the oldest leaves, rebuilds the one straddling spine node from its
 // surviving leaf kernels, and re-normalizes the front of the spine.
 //
@@ -212,7 +215,6 @@ func (s *Session) Append(chunk []byte) error {
 	}
 	sp := s.rec.Start(obs.StageStreamAppend)
 	defer sp.End()
-	s.rec.Add(obs.CounterStreamAppends, 1)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(chunk) == 0 {
@@ -227,6 +229,7 @@ func (s *Session) Append(chunk []byte) error {
 		return err
 	}
 	s.pushLeafLocked(k.Permutation().RowToCol(), len(chunk))
+	s.rec.Add(obs.CounterStreamAppends, 1)
 	return nil
 }
 
@@ -269,7 +272,6 @@ func (s *Session) Slide(drop int) error {
 	}
 	sp := s.rec.Start(obs.StageStreamAppend)
 	defer sp.End()
-	s.rec.Add(obs.CounterStreamAppends, 1)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if drop < 0 || drop > len(s.leaves) {
@@ -279,6 +281,7 @@ func (s *Session) Slide(drop int) error {
 		return nil
 	}
 	s.slideLocked(drop)
+	s.rec.Add(obs.CounterStreamAppends, 1)
 	return nil
 }
 
