@@ -14,9 +14,10 @@ test:
 race:
 	go test -race ./...
 
-# Race-detector lane over the packages that spawn goroutines (Pool.For
-# barriers, the recursive limiter, block-parallel bit operations) plus
-# the oracle-driven differential tests that exercise them.
+# Race-detector lane over the packages that fork onto the parallel
+# runtime's helper team (Pool.For barriers, Pool.Do recursive forks,
+# block-parallel bit operations) plus the oracle-driven differential
+# tests that exercise them.
 test-race:
 	go test -race ./internal/...
 
@@ -43,12 +44,20 @@ check-obs:
 # metamorphic oracle-identity suite, retry/shed/degradation semantics,
 # the goroutine-leak gates (TestShutdownNoLeaks and the abandoned-
 # flight reap regression), and the parallel-runtime edge cases (nested
-# For, panic propagation, limiter bounds). The zero-alloc guards for
-# disabled chaos and the hardening knobs only compile without -race,
-# so they run in a second, race-free pass. Well under 5 minutes.
+# For and Do, panic propagation, the team's concurrency bound, spans
+# of one For meeting at a rendezvous, repeated 20 times under -race).
+# The zero-alloc guards for disabled chaos and the hardening knobs only
+# compile without -race, so they run in a race-free pass. The helper
+# team's size is fixed at start-up from GOMAXPROCS, so a one-helper
+# team is its own configuration: the runtime and the solvers that fork
+# on it run once more under GOMAXPROCS=1 (with -count=1: the test cache
+# does not key on GOMAXPROCS, so a cached result of an ordinary run
+# would stand in for it). Well under 5 minutes.
 check-chaos:
 	go test -race ./internal/chaos ./internal/query ./internal/parallel ./internal/core ./cmd/semilocal
+	go test -race -count=20 -run 'TestPool' ./internal/parallel
 	go test -run 'ZeroAllocs|AllocParity' ./internal/query ./internal/core
+	GOMAXPROCS=1 go test -count=1 ./internal/parallel ./internal/hybrid ./internal/combing ./internal/bitlcs
 
 # Streaming lane: the incremental-kernel subsystem end to end under
 # the race detector — the differential bit-identity suite against

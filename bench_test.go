@@ -58,7 +58,7 @@ func BenchmarkFig4bParallelBraidMult(b *testing.B) {
 		depth := depth
 		b.Run(fmt.Sprintf("depth%d", depth), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				steadyant.MultiplyParallel(p, q, steadyant.ParallelOptions{SwitchDepth: depth, Workers: 8})
+				steadyant.MultiplyParallel(p, q, steadyant.ParallelOptions{SwitchDepth: depth})
 			}
 		})
 	}

@@ -47,7 +47,7 @@ func fig4b(c *cfg) {
 	for depth := 1; depth <= 6; depth++ {
 		depth := depth
 		d := benchkit.Measure(c.reps, func() {
-			steadyant.MultiplyParallel(p, q, steadyant.ParallelOptions{SwitchDepth: depth, Workers: c.maxThreads})
+			steadyant.MultiplyParallel(p, q, steadyant.ParallelOptions{SwitchDepth: depth})
 		})
 		t.AddRow(depth, d, benchkit.Ratio(seq, d))
 	}

@@ -82,14 +82,12 @@ func Versions() []Version { return []Version{Old, MemOpt, FormulaOpt, Fused} }
 
 // Options configure parallel execution.
 type Options struct {
-	// Workers processes each block anti-diagonal with this many
-	// goroutines (≤ 1 sequential).
+	// Workers splits each block anti-diagonal into this many spans,
+	// run on the helper team of package parallel (≤ 1 sequential).
 	Workers int
 	// MinBlocks is the minimum number of blocks on a diagonal worth
 	// splitting across workers; 0 means a sensible default.
 	MinBlocks int
-	// Pool optionally supplies an existing worker pool.
-	Pool *parallel.Pool
 	// Rec receives the block-loop timing and block counter; nil (the
 	// default) disables instrumentation at zero cost.
 	Rec *obs.Recorder
@@ -153,12 +151,7 @@ func runBlocks(mb, nb int, process func(I, J int), opt Options) {
 		}
 	}
 	if opt.Workers > 1 {
-		pool := opt.Pool
-		if pool == nil {
-			p := parallel.NewPool(opt.Workers)
-			defer p.Close()
-			pool = p
-		}
+		pool := parallel.NewPool(opt.Workers)
 		minBlocks := opt.minBlocks()
 		runDiag = func(count, hBase, vBase int) {
 			if count < minBlocks {

@@ -29,8 +29,9 @@ type Multiplier func(p, q perm.Permutation) perm.Permutation
 
 // Options configure the anti-diagonal combing variants.
 type Options struct {
-	// Workers is the number of goroutines processing each anti-diagonal.
-	// Values ≤ 1 run sequentially.
+	// Workers is the number of spans each anti-diagonal is split into,
+	// run on the helper team of package parallel. Values ≤ 1 run
+	// sequentially.
 	Workers int
 	// Branchless replaces the conditional swap with the paper's
 	// branch-free bitwise selection (the portable analog of the SIMD
@@ -51,9 +52,6 @@ type Options struct {
 	// splitting across workers; shorter diagonals run inline. 0 means a
 	// sensible default.
 	MinChunk int
-	// Pool optionally supplies an existing worker pool. If nil and
-	// Workers > 1, a temporary pool is created for the call.
-	Pool *parallel.Pool
 	// Rec receives stage timings and cell counters; nil (the default)
 	// disables instrumentation at zero cost.
 	Rec *obs.Recorder
@@ -152,7 +150,6 @@ func Antidiag(a, b []byte, opt Options) perm.Permutation {
 		return Antidiag(b, a, opt).Rotate180()
 	}
 	st := newState(a, b)
-	defer st.close(&opt)
 	run := st.runner(&opt)
 
 	sp := opt.Rec.Start(obs.StageCombDiags)
@@ -197,8 +194,6 @@ type state struct {
 	b    []byte
 	hs   []int32
 	vs   []int32
-	pool *parallel.Pool
-	own  bool // pool created by us, close it
 }
 
 func newState(a, b []byte) *state {
@@ -219,12 +214,6 @@ func newState(a, b []byte) *state {
 	return st
 }
 
-func (st *state) close(opt *Options) {
-	if st.own && st.pool != nil {
-		st.pool.Close()
-	}
-}
-
 // runner returns the inloop routine of Listing 4: process up to upBound
 // cells of one anti-diagonal, the k-th of which pairs horizontal track
 // hBase+k with vertical track vBase+k.
@@ -242,18 +231,14 @@ func (st *state) runner(opt *Options) func(upBound, hBase, vBase int) {
 	if opt.Workers <= 1 {
 		return func(upBound, hBase, vBase int) { inner(0, upBound, hBase, vBase) }
 	}
-	st.pool = opt.Pool
-	if st.pool == nil {
-		st.pool = parallel.NewPool(opt.Workers)
-		st.own = true
-	}
+	pool := parallel.NewPool(opt.Workers)
 	minChunk := opt.minChunk()
 	return func(upBound, hBase, vBase int) {
 		if upBound < minChunk {
 			inner(0, upBound, hBase, vBase)
 			return
 		}
-		st.pool.For(0, upBound, func(lo, hi int) {
+		pool.For(0, upBound, func(lo, hi int) {
 			inner(lo, hi, hBase, vBase)
 		})
 	}

@@ -70,12 +70,7 @@ func Antidiag16(a, b []byte, opt Options) perm.Permutation {
 		st.inner(0, upBound, hBase, vBase)
 	}
 	if opt.Workers > 1 {
-		pool := opt.Pool
-		if pool == nil {
-			p := parallel.NewPool(opt.Workers)
-			defer p.Close()
-			pool = p
-		}
+		pool := parallel.NewPool(opt.Workers)
 		minChunk := opt.minChunk()
 		run = func(upBound, hBase, vBase int) {
 			if upBound < minChunk {

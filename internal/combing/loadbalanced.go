@@ -26,16 +26,7 @@ func LoadBalanced(a, b []byte, opt Options, mult Multiplier) perm.Permutation {
 		return Antidiag(a, b, opt)
 	}
 
-	var pool *parallel.Pool
-	if opt.Workers > 1 {
-		pool = opt.Pool
-		if pool == nil {
-			pool = parallel.NewPool(opt.Workers)
-			defer pool.Close()
-		}
-	}
-	popt := opt
-	popt.Pool = pool
+	pool := parallel.NewPool(opt.Workers)
 
 	// Boundary relabelings between the phases. Sticky multiplication glues
 	// braids by boundary position, and along an anti-diagonal frontier the
@@ -51,8 +42,8 @@ func LoadBalanced(a, b []byte, opt Options, mult Multiplier) perm.Permutation {
 	st1 := newState(a, b) // top-left triangle; entry = canonical start order
 	st3 := newState(a, b) // bottom-right triangle
 	seedState(st3, rhoB)
-	run1 := st1.runner(&popt)
-	run3 := st3.runner(&popt)
+	run1 := st1.runner(&opt)
+	run3 := st3.runner(&opt)
 
 	// Paired iterations: phase-1 diagonal q-1 (length q) together with
 	// phase-3 diagonal q-1 (length m-q): exactly m cells per iteration.
@@ -66,7 +57,7 @@ func LoadBalanced(a, b []byte, opt Options, mult Multiplier) perm.Permutation {
 	for q := 1; q < m; q++ {
 		len1, h1, v1 := q, m-q, 0
 		len3, h3, v3 := m-q, 0, n-m+q
-		if pool != nil && m >= opt.minChunk() {
+		if opt.Workers > 1 && m >= opt.minChunk() {
 			pool.For(0, m, func(lo, hi int) {
 				// Cells [0,len1) belong to the phase-1 diagonal, cells
 				// [len1, m) to the phase-3 diagonal.
@@ -88,7 +79,7 @@ func LoadBalanced(a, b []byte, opt Options, mult Multiplier) perm.Permutation {
 	// Phase 2: the full-length band, as its own braid.
 	st2 := newState(a, b)
 	seedState(st2, rhoA)
-	run2 := st2.runner(&popt)
+	run2 := st2.runner(&opt)
 	for k := 0; k <= n-m; k++ {
 		run2(m, 0, k)
 	}

@@ -10,8 +10,9 @@ import (
 
 // GridOptions configure GridReduction (Listing 7).
 type GridOptions struct {
-	// Workers is the number of goroutines combing tiles and composing
-	// pairs. ≤ 1 is sequential.
+	// Workers is the number of spans the tile combing and each
+	// reduction step are split into, run on the helper team of package
+	// parallel. ≤ 1 is sequential.
 	Workers int
 	// Tiles is the target number of grid tiles; 0 defaults to Workers
 	// (one tile per worker, the paper's optimal_split intent).
@@ -59,24 +60,7 @@ func GridReduction(a, b []byte, opt GridOptions) perm.Permutation {
 	aCuts := cuts(m, mOuter)
 	bCuts := cuts(n, nOuter)
 
-	var pool *parallel.Pool
-	if opt.Workers > 1 {
-		pool = parallel.NewPool(opt.Workers)
-		defer pool.Close()
-	}
-	parFor := func(k int, body func(int)) {
-		if pool == nil || k < 2 {
-			for i := 0; i < k; i++ {
-				body(i)
-			}
-			return
-		}
-		pool.For(0, k, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				body(i)
-			}
-		})
-	}
+	pool := parallel.NewPool(opt.Workers)
 
 	// Phase 1: comb every tile independently. The grid_comb span covers
 	// the whole phase; the per-tile comb_diags spans it encloses are the
@@ -85,7 +69,7 @@ func GridReduction(a, b []byte, opt GridOptions) perm.Permutation {
 	opt.Rec.Add(obs.CounterGridTiles, int64(mOuter)*int64(nOuter))
 	gsp := opt.Rec.Start(obs.StageGridComb)
 	grid := newGrid(mOuter, nOuter)
-	parFor(mOuter*nOuter, func(k int) {
+	pool.Each(mOuter*nOuter, func(k int) {
 		i, j := k/nOuter, k%nOuter
 		ta := a[aCuts[i]:aCuts[i+1]]
 		tb := b[bCuts[j]:bCuts[j+1]]
@@ -103,7 +87,7 @@ func GridReduction(a, b []byte, opt GridOptions) perm.Permutation {
 		if rowReduction {
 			newN := (nOuter + 1) / 2
 			next := newGrid(mOuter, newN)
-			parFor(mOuter*newN, func(k int) {
+			pool.Each(mOuter*newN, func(k int) {
 				i, j := k/newN, k%newN
 				if 2*j+1 < nOuter {
 					next[i][j] = composeB(grid[i][2*j], grid[i][2*j+1],
@@ -116,7 +100,7 @@ func GridReduction(a, b []byte, opt GridOptions) perm.Permutation {
 		} else {
 			newM := (mOuter + 1) / 2
 			next := newGrid(newM, nOuter)
-			parFor(newM*nOuter, func(k int) {
+			pool.Each(newM*nOuter, func(k int) {
 				i, j := k/nOuter, k%nOuter
 				if 2*i+1 < mOuter {
 					next[i][j] = composeA(grid[2*i][j], grid[2*i+1][j],

@@ -107,14 +107,10 @@ func (o Options) mult() Mult {
 // depth and iterative combing below it (Listing 6). Sub-problems at the
 // same recursion level run as parallel tasks when opt.Workers > 1.
 func Hybrid(a, b []byte, opt Options) perm.Permutation {
-	var lim *parallel.Limiter
-	if opt.Workers > 1 {
-		lim = parallel.NewLimiter(opt.Workers - 1)
-	}
-	return hybridRec(a, b, opt.Depth, lim, &opt)
+	return hybridRec(a, b, opt.Depth, parallel.NewPool(opt.Workers), &opt)
 }
 
-func hybridRec(a, b []byte, depth int, lim *parallel.Limiter, opt *Options) perm.Permutation {
+func hybridRec(a, b []byte, depth int, pool *parallel.Pool, opt *Options) perm.Permutation {
 	m, n := len(a), len(b)
 	if m == 0 || n == 0 {
 		return trivialKernel(m, n)
@@ -126,16 +122,16 @@ func hybridRec(a, b []byte, depth int, lim *parallel.Limiter, opt *Options) perm
 	var l, r perm.Permutation
 	if m >= n {
 		cut := m / 2
-		lim.Do(
-			func() { l = hybridRec(a[:cut], b, depth-1, lim, opt) },
-			func() { r = hybridRec(a[cut:], b, depth-1, lim, opt) },
+		pool.Do(
+			func() { l = hybridRec(a[:cut], b, depth-1, pool, opt) },
+			func() { r = hybridRec(a[cut:], b, depth-1, pool, opt) },
 		)
 		return composeA(l, r, cut, m-cut, n, mult)
 	}
 	cut := n / 2
-	lim.Do(
-		func() { l = hybridRec(a, b[:cut], depth-1, lim, opt) },
-		func() { r = hybridRec(a, b[cut:], depth-1, lim, opt) },
+	pool.Do(
+		func() { l = hybridRec(a, b[:cut], depth-1, pool, opt) },
+		func() { r = hybridRec(a, b[cut:], depth-1, pool, opt) },
 	)
 	return composeB(l, r, m, cut, n-cut, mult)
 }

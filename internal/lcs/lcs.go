@@ -111,11 +111,7 @@ func prefixAntidiag(a, b []byte, branchless bool, workers int) int {
 	prev1 := make([]int32, m) // diagonal d-1
 	cur := make([]int32, m)   // diagonal d
 	last := int32(0)
-	var pool *parallel.Pool
-	if workers > 1 {
-		pool = parallel.NewPool(workers)
-		defer pool.Close()
-	}
+	pool := parallel.NewPool(workers)
 	for d := 0; d < m+n-1; d++ {
 		lo, hi := diagCells(d, m, n)
 		body := func(start, end int) {
@@ -155,7 +151,7 @@ func prefixAntidiag(a, b []byte, branchless bool, workers int) int {
 				}
 			}
 		}
-		if pool != nil && hi-lo+1 >= 2048 {
+		if workers > 1 && hi-lo+1 >= 2048 {
 			pool.For(lo, hi+1, body)
 		} else {
 			body(lo, hi+1)

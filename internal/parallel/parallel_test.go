@@ -1,8 +1,10 @@
 package parallel
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestPoolForCoversRange(t *testing.T) {
@@ -80,28 +82,30 @@ func TestNewPoolClampsWorkers(t *testing.T) {
 	}
 }
 
-func TestLimiterDoRunsBoth(t *testing.T) {
+func TestPoolDoRunsBoth(t *testing.T) {
 	for _, n := range []int{0, 1, 4} {
-		l := NewLimiter(n)
+		p := NewPool(n)
 		var a, b int32
-		l.Do(func() { atomic.AddInt32(&a, 1) }, func() { atomic.AddInt32(&b, 1) })
+		p.Do(func() { atomic.AddInt32(&a, 1) }, func() { atomic.AddInt32(&b, 1) })
 		if a != 1 || b != 1 {
-			t.Fatalf("limit=%d: a=%d b=%d", n, a, b)
+			t.Fatalf("width=%d: a=%d b=%d", n, a, b)
 		}
 	}
 }
 
-func TestNilLimiterIsSequential(t *testing.T) {
-	var l *Limiter
-	order := []int{}
-	l.Do(func() { order = append(order, 1) }, func() { order = append(order, 2) })
-	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
-		t.Fatalf("order = %v", order)
+func TestPoolDoWidthOneIsSequential(t *testing.T) {
+	for _, n := range []int{-1, 0, 1} {
+		p := NewPool(n)
+		order := []int{}
+		p.Do(func() { order = append(order, 1) }, func() { order = append(order, 2) })
+		if len(order) != 2 || order[0] != 1 || order[1] != 2 {
+			t.Fatalf("NewPool(%d): order = %v", n, order)
+		}
 	}
 }
 
-func TestLimiterRecursive(t *testing.T) {
-	l := NewLimiter(3)
+func TestPoolDoRecursive(t *testing.T) {
+	p := NewPool(3)
 	var total int64
 	var rec func(depth int)
 	rec = func(depth int) {
@@ -109,7 +113,7 @@ func TestLimiterRecursive(t *testing.T) {
 			atomic.AddInt64(&total, 1)
 			return
 		}
-		l.Do(func() { rec(depth - 1) }, func() { rec(depth - 1) })
+		p.Do(func() { rec(depth - 1) }, func() { rec(depth - 1) })
 	}
 	rec(10)
 	if total != 1024 {
@@ -147,6 +151,14 @@ func TestPoolDoubleClosePanics(t *testing.T) {
 	p := NewPool(3)
 	p.Close()
 	mustPanic(t, "parallel: Pool closed twice", p.Close)
+}
+
+func TestPoolDoAfterClosePanics(t *testing.T) {
+	p := NewPool(2)
+	p.Close()
+	mustPanic(t, "parallel: Pool.Do called after Close", func() {
+		p.Do(func() {}, func() {})
+	})
 }
 
 func TestNewPoolClampsNegativeWorkers(t *testing.T) {
@@ -285,15 +297,15 @@ func TestPoolForInlinePanicPropagates(t *testing.T) {
 	}
 }
 
-// TestLimiterDoPanicPropagates: panics in both the spawned left branch
-// and the inline right branch must reach the caller of Do, and the
-// spawn slot must be released either way (the limiter keeps working).
-func TestLimiterDoPanicPropagates(t *testing.T) {
-	l := NewLimiter(1)
+// TestPoolDoPanicPropagates: a panic in either branch — handed off or
+// inline — must reach the caller of Do, and the fork must stay balanced
+// either way (the pool keeps working).
+func TestPoolDoPanicPropagates(t *testing.T) {
+	p := NewPool(2)
 	for _, branch := range []string{"left", "right"} {
 		got := func() (r any) {
 			defer func() { r = recover() }()
-			l.Do(
+			p.Do(
 				func() {
 					if branch == "left" {
 						panic("left boom")
@@ -310,45 +322,84 @@ func TestLimiterDoPanicPropagates(t *testing.T) {
 		if got != branch+" boom" {
 			t.Fatalf("branch %s: recovered %v", branch, got)
 		}
-		// Slot released: a follow-up Do still runs both branches.
+		// Balanced: a follow-up Do still runs both branches.
 		var a, b int32
-		l.Do(func() { atomic.AddInt32(&a, 1) }, func() { atomic.AddInt32(&b, 1) })
+		p.Do(func() { atomic.AddInt32(&a, 1) }, func() { atomic.AddInt32(&b, 1) })
 		if a != 1 || b != 1 {
-			t.Fatalf("branch %s: limiter broken after panic: a=%d b=%d", branch, a, b)
+			t.Fatalf("branch %s: pool broken after panic: a=%d b=%d", branch, a, b)
 		}
 	}
 }
 
-// TestLimiterConcurrencyBound: with a limit of k, a recursive fork-join
-// tree can have at most 1+k branches executing leaf work at the same
-// instant (the caller plus k spawned goroutines). The peak of an
-// entered-minus-exited gauge over every leaf pins the bound.
-func TestLimiterConcurrencyBound(t *testing.T) {
-	const limit = 3
-	l := NewLimiter(limit)
+// TestPoolDoConcurrencyBound: recursive fork-join trees run by several
+// callers at once can have at most teamSize+callers branches executing
+// leaf work at the same instant (every caller plus every helper). The
+// peak of an entered-minus-exited gauge over every leaf pins the bound.
+func TestPoolDoConcurrencyBound(t *testing.T) {
+	const callers = 2
+	p := NewPool(8)
 	var active, peak, total int64
 	var rec func(depth int)
 	rec = func(depth int) {
 		if depth == 0 {
 			cur := atomic.AddInt64(&active, 1)
 			for {
-				p := atomic.LoadInt64(&peak)
-				if cur <= p || atomic.CompareAndSwapInt64(&peak, p, cur) {
+				pk := atomic.LoadInt64(&peak)
+				if cur <= pk || atomic.CompareAndSwapInt64(&peak, pk, cur) {
 					break
 				}
 			}
+			time.Sleep(20 * time.Microsecond)
 			atomic.AddInt64(&total, 1)
 			atomic.AddInt64(&active, -1)
 			return
 		}
-		l.Do(func() { rec(depth - 1) }, func() { rec(depth - 1) })
+		p.Do(func() { rec(depth - 1) }, func() { rec(depth - 1) })
 	}
-	rec(9)
-	if total != 512 {
-		t.Fatalf("total = %d, want 512", total)
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rec(8)
+		}()
 	}
-	if peak > limit+1 {
-		t.Fatalf("peak concurrency %d exceeds limit+1 = %d", peak, limit+1)
+	wg.Wait()
+	if total != callers*256 {
+		t.Fatalf("total = %d, want %d", total, callers*256)
+	}
+	if peak > int64(teamSize+callers) {
+		t.Fatalf("peak concurrency %d exceeds team size + callers = %d", peak, teamSize+callers)
+	}
+}
+
+// TestPoolForRunsSpansConcurrently: the spans of one For run at the same
+// time, also on a freshly made Pool. The two spans of For(0, 2) meet at
+// a rendezvous that neither can pass alone; run one after the other,
+// the first would wait out the timeout.
+func TestPoolForRunsSpansConcurrently(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		p := NewPool(2)
+		var arrived sync.WaitGroup
+		arrived.Add(2)
+		met := make(chan struct{})
+		go func() {
+			arrived.Wait()
+			close(met)
+		}()
+		var timedOut atomic.Bool
+		p.For(0, 2, func(lo, hi int) {
+			arrived.Done()
+			select {
+			case <-met:
+			case <-time.After(2 * time.Second):
+				timedOut.Store(true)
+			}
+		})
+		p.Close()
+		if timedOut.Load() {
+			t.Fatalf("pool %d: the two spans of For(0, 2) did not meet within 2s", i)
+		}
 	}
 }
 

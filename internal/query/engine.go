@@ -52,9 +52,10 @@ type Options struct {
 	// Config is the kernel algorithm used when a request does not carry
 	// its own; the zero value is sequential row-major combing.
 	Config core.Config
-	// Workers is the fan-out width of BatchSolve (values ≤ 1 process
-	// batches sequentially). This is independent of Config.Workers,
-	// which parallelizes the inside of a single solve.
+	// Workers is the number of spans BatchSolve cuts a batch into; the
+	// spans run on the process-wide helper team of package parallel
+	// (values ≤ 1 process batches sequentially). This is independent of
+	// Config.Workers, which parallelizes the inside of a single solve.
 	Workers int
 	// MaxKernels caps the number of resident cached sessions; 0 means
 	// DefaultMaxKernels. The capacity is global: past it, the least
@@ -120,11 +121,10 @@ const DefaultMaxKernels = 128
 // Engine amortizes kernel solves across queries: an LRU cache of
 // prepared sessions keyed by the input pair alone, with singleflight
 // deduplication, and a batch front end that fans independent requests
-// across a worker pool. A pair's kernel is the same under every solve
+// out in parallel spans. A pair's kernel is the same under every solve
 // configuration, so the configuration only decides how a miss is
 // solved; a session cached under one configuration serves requests
-// under any other. All methods are safe for concurrent use; Close
-// releases the pool.
+// under any other. All methods are safe for concurrent use.
 type Engine struct {
 	cache  *cache
 	tier   *storeTier // nil without a persistent store
@@ -198,15 +198,14 @@ func NewEngine(opts Options) *Engine {
 // disabled). Snapshot it for breakdowns or metrics exposition.
 func (e *Engine) Recorder() *obs.Recorder { return e.rec }
 
-// Close stops the engine's workers and drains the persistent-store
-// append queue (every kernel published before Close is durable when it
-// returns). The engine must not be used afterwards; BatchSolve and
-// Acquire on a closed engine return an error.
+// Close drains the persistent-store append queue (every kernel
+// published before Close is durable when it returns). The engine must
+// not be used afterwards; BatchSolve and Acquire on a closed engine
+// return an error.
 func (e *Engine) Close() {
 	if e.closed.Swap(true) {
 		return
 	}
-	e.pool.Close()
 	e.tier.close()
 }
 

@@ -24,7 +24,7 @@ func FuzzMultiply(f *testing.F) {
 				t.Fatalf("%v disagrees with oracle at n=%d", v, n)
 			}
 		}
-		if got := MultiplyParallel(p, q, ParallelOptions{SwitchDepth: 3, Workers: 2}); !got.Equal(want) {
+		if got := MultiplyParallel(p, q, ParallelOptions{SwitchDepth: 3}); !got.Equal(want) {
 			t.Fatalf("parallel disagrees with oracle at n=%d", n)
 		}
 	})

@@ -19,7 +19,7 @@ func mults() map[string]oracle.Mult {
 	m := map[string]oracle.Mult{
 		"combined": steadyant.Multiply,
 		"parallel": func(p, q perm.Permutation) perm.Permutation {
-			return steadyant.MultiplyParallel(p, q, steadyant.ParallelOptions{SwitchDepth: 3, Workers: 3})
+			return steadyant.MultiplyParallel(p, q, steadyant.ParallelOptions{SwitchDepth: 3})
 		},
 	}
 	for _, v := range []steadyant.Variant{steadyant.Base, steadyant.Precalc, steadyant.Memory, steadyant.Combined} {

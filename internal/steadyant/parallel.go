@@ -14,20 +14,14 @@ type ParallelOptions struct {
 	// sequential; the paper's Figure 4b sweeps this in 0…6 and finds 4
 	// optimal on its 8-core machine.
 	SwitchDepth int
-	// Workers bounds the number of concurrently executing recursion
-	// branches. Values ≤ 0 default to SwitchDepth² (enough to keep the
-	// spawned tree busy).
-	Workers int
-	// Limiter optionally shares a spawn budget across calls; when set,
-	// Workers is ignored.
-	Limiter *parallel.Limiter
 }
 
 // MultiplyParallel is the coarse-grained parallel steady ant: the two
 // recursive sub-products at each level above SwitchDepth run as parallel
 // tasks (the mapping and ant-passage stages are inherently sequential, as
 // the paper notes), and levels at or below the switch run the sequential
-// Combined algorithm.
+// Combined algorithm. The recursion forks on the process-wide helper
+// team of package parallel, which bounds how many branches run at once.
 func MultiplyParallel(p, q perm.Permutation, opt ParallelOptions) perm.Permutation {
 	n := p.Size()
 	if q.Size() != n {
@@ -39,18 +33,11 @@ func MultiplyParallel(p, q perm.Permutation, opt ParallelOptions) perm.Permutati
 	if opt.SwitchDepth <= 0 {
 		return MultiplyVariant(p, q, Combined)
 	}
-	lim := opt.Limiter
-	if lim == nil {
-		w := opt.Workers
-		if w <= 0 {
-			w = 1 << opt.SwitchDepth
-		}
-		lim = parallel.NewLimiter(w)
-	}
-	return perm.FromRowToCol(multiplyPar(p.RowToCol(), q.RowToCol(), opt.SwitchDepth, lim))
+	pool := parallel.NewPool(2) // Do's two branches; the team bounds the rest
+	return perm.FromRowToCol(multiplyPar(p.RowToCol(), q.RowToCol(), opt.SwitchDepth, pool))
 }
 
-func multiplyPar(p, q []int32, depthLeft int, lim *parallel.Limiter) []int32 {
+func multiplyPar(p, q []int32, depthLeft int, pool *parallel.Pool) []int32 {
 	n := len(p)
 	if depthLeft == 0 || n <= precalcOrder {
 		return multiplyArena(perm.FromRowToCol(p), perm.FromRowToCol(q), precalcOrder).RowToCol()
@@ -71,9 +58,9 @@ func multiplyPar(p, q []int32, depthLeft int, lim *parallel.Limiter) []int32 {
 	splitQ(q, h, qLo, qHi, loCols, hiCols, colRank)
 
 	var rLo, rHi []int32
-	lim.Do(
-		func() { rLo = multiplyPar(pLo, qLo, depthLeft-1, lim) },
-		func() { rHi = multiplyPar(pHi, qHi, depthLeft-1, lim) },
+	pool.Do(
+		func() { rLo = multiplyPar(pLo, qLo, depthLeft-1, pool) },
+		func() { rHi = multiplyPar(pHi, qHi, depthLeft-1, pool) },
 	)
 
 	loR2C := make([]int32, n)

@@ -109,7 +109,7 @@ func TestMultiplyParallel(t *testing.T) {
 		p, q := perm.Random(n, rng), perm.Random(n, rng)
 		want := Multiply(p, q)
 		for _, depth := range []int{0, 1, 2, 4, 6} {
-			got := MultiplyParallel(p, q, ParallelOptions{SwitchDepth: depth, Workers: 4})
+			got := MultiplyParallel(p, q, ParallelOptions{SwitchDepth: depth})
 			if !got.Equal(want) {
 				t.Fatalf("n=%d depth=%d: parallel disagrees with sequential", n, depth)
 			}

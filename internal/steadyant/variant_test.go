@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"semilocal/internal/parallel"
 	"semilocal/internal/perm"
 )
 
@@ -32,10 +31,9 @@ func TestMultiplyVariantUnknownPanics(t *testing.T) {
 	MultiplyVariant(perm.Identity(2), perm.Identity(2), Variant(42))
 }
 
-func TestMultiplyParallelSharedLimiter(t *testing.T) {
-	// A shared limiter lets several concurrent multiplications divide a
-	// single spawn budget, as the grid-reduction hybrid does.
-	lim := parallel.NewLimiter(2)
+func TestMultiplyParallelConcurrentCalls(t *testing.T) {
+	// Concurrent multiplications fork on the one helper team, as the
+	// grid-reduction hybrid's parallel compositions do.
 	rng := rand.New(rand.NewSource(28))
 	n := 2000
 	p1, q1 := perm.Random(n, rng), perm.Random(n, rng)
@@ -43,16 +41,16 @@ func TestMultiplyParallelSharedLimiter(t *testing.T) {
 	want1, want2 := Multiply(p1, q1), Multiply(p2, q2)
 	done := make(chan bool, 2)
 	go func() {
-		r := MultiplyParallel(p1, q1, ParallelOptions{SwitchDepth: 4, Limiter: lim})
+		r := MultiplyParallel(p1, q1, ParallelOptions{SwitchDepth: 4})
 		done <- r.Equal(want1)
 	}()
 	go func() {
-		r := MultiplyParallel(p2, q2, ParallelOptions{SwitchDepth: 4, Limiter: lim})
+		r := MultiplyParallel(p2, q2, ParallelOptions{SwitchDepth: 4})
 		done <- r.Equal(want2)
 	}()
 	for i := 0; i < 2; i++ {
 		if !<-done {
-			t.Fatal("shared-limiter multiplication disagrees with sequential")
+			t.Fatal("concurrent parallel multiplication disagrees with sequential")
 		}
 	}
 }

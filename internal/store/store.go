@@ -1,7 +1,10 @@
 // Package store is the persistent kernel store: a stdlib-only,
 // crash-safe, content-hash-keyed append log that backs the in-memory
-// LRU cache as a second tier, so restarts and new replicas start warm
-// and multiple processes can share one directory of solved kernels.
+// LRU cache as a second tier, so restarts and new replicas start warm.
+// One open Store at a time holds a directory: Open takes an exclusive
+// lock on it, so a second process (or a second Open in this one) fails
+// fast with ErrLocked instead of interleaving appends into the log
+// (on unix systems; elsewhere no lock is taken).
 //
 // The on-disk layout is a single append-only log file of self-framing
 // records:
@@ -103,6 +106,10 @@ var (
 	ErrClosed = errors.New("store: closed")
 )
 
+// ErrLocked is returned by Open when another open Store, in this
+// process or another, holds the directory.
+var ErrLocked = errors.New("store: directory held by another open store")
+
 // Config tunes a store. The zero value is valid: fsync'd appends and
 // the default compaction thresholds.
 type Config struct {
@@ -147,8 +154,9 @@ func (e entry) recordSize() int64 { return headerSize + int64(e.payloadLen) }
 // Store is an open kernel store. All methods are safe for concurrent
 // use.
 type Store struct {
-	dir string
-	cfg Config
+	dir  string
+	cfg  Config
+	lock *os.File // the directory, flocked until Close
 
 	mu     sync.RWMutex
 	f      *os.File
@@ -164,27 +172,50 @@ type Store struct {
 // Open opens (creating if needed) the store in dir, rebuilding the
 // index by scanning the log. A structurally torn tail is truncated; a
 // mid-log checksum failure is counted and skipped. Open never fails on
-// corrupt content — only on I/O errors.
+// corrupt content — only on I/O errors, and with ErrLocked while
+// another open Store holds dir.
 func Open(dir string, cfg Config) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: open: %w", err)
+	}
+	lock, err := lockDir(dir)
+	if err != nil {
+		return nil, err
 	}
 	// A leftover compaction temp file means a crash mid-compaction: the
 	// rename never happened, so the original log is intact and the temp
 	// is garbage.
 	if err := removeIfExists(filepath.Join(dir, compactName)); err != nil {
+		lock.Close()
 		return nil, err
 	}
 	f, err := os.OpenFile(filepath.Join(dir, logName), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
+		lock.Close()
 		return nil, fmt.Errorf("store: open: %w", err)
 	}
-	st := &Store{dir: dir, cfg: cfg, f: f, index: make(map[Key]entry)}
+	st := &Store{dir: dir, cfg: cfg, lock: lock, f: f, index: make(map[Key]entry)}
 	if err := st.scan(); err != nil {
 		f.Close()
+		lock.Close()
 		return nil, err
 	}
 	return st, nil
+}
+
+// lockDir opens dir and takes an exclusive, non-blocking lock on it
+// (see flock). The lock lasts as long as the returned descriptor:
+// closing it, or the process exiting, releases it.
+func lockDir(dir string) (*os.File, error) {
+	d, err := os.Open(dir)
+	if err != nil {
+		return nil, fmt.Errorf("store: open: %w", err)
+	}
+	if err := flock(d); err != nil {
+		d.Close()
+		return nil, fmt.Errorf("store: lock %s: %w", dir, err)
+	}
+	return d, nil
 }
 
 func removeIfExists(path string) error {
@@ -525,8 +556,8 @@ func (st *Store) Keys() []Key {
 	return out
 }
 
-// Close releases the store. Further calls return ErrClosed; Close is
-// idempotent.
+// Close releases the store and its directory lock. Further calls
+// return ErrClosed; Close is idempotent.
 func (st *Store) Close() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -535,6 +566,9 @@ func (st *Store) Close() error {
 	}
 	st.closed = true
 	err := st.f.Close()
+	if lerr := st.lock.Close(); err == nil {
+		err = lerr
+	}
 	if err != nil {
 		return fmt.Errorf("store: close: %w", err)
 	}

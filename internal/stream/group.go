@@ -56,8 +56,8 @@ type GroupConfig struct {
 	// solves; nil runs the built-in defaults.
 	Tuning *core.Tuning
 	// Pool, when non-nil, fans the per-class leaf solves and per-pattern
-	// spine appends out across its workers. The group borrows the pool;
-	// it never closes it. nil runs the fan-out inline.
+	// spine appends out in spans of its width. The group borrows the
+	// pool; it never closes it. nil runs the fan-out inline.
 	Pool *parallel.Pool
 }
 

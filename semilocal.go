@@ -438,9 +438,14 @@ var (
 	ErrStoreCorrupt  = store.ErrCorrupt
 )
 
+// ErrStoreLocked is returned by OpenStore while another open
+// KernelStore, in this process or another, holds the directory.
+var ErrStoreLocked = store.ErrLocked
+
 // OpenStore opens (creating if needed) a persistent kernel store in
 // dir, rebuilding its index by scanning the log and truncating any
-// torn tail left by a crash.
+// torn tail left by a crash. It takes an exclusive lock on dir until
+// the store is closed.
 func OpenStore(dir string, cfg StoreConfig) (*KernelStore, error) {
 	return store.Open(dir, cfg)
 }
