@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test race test-race check check-obs check-chaos check-stream check-banded check-store check-server check-tune check-perfbench bench bench-smoke figures figures-paper examples fuzz fuzz-smoke
+.PHONY: all build test race test-race check check-obs check-chaos check-stream check-banded check-store check-server check-perfbench bench bench-smoke figures figures-paper examples fuzz fuzz-smoke
 
 all: build test
 
@@ -117,22 +117,6 @@ check-server:
 	go test -race ./internal/server ./internal/query ./cmd/semilocal ./cmd/loadgen
 	go test -fuzz FuzzServerRequest -fuzztime 10s ./internal/server
 
-# Calibration lane: the autotuning subsystem end to end under the race
-# detector — the grid-sweep differential wall (every tuning point the
-# calibrator can assemble solves bit-identically to the untuned build
-# and the quadratic oracle, including the fused bit-parallel schedule),
-# the profile persistence property tests (round-trip, torn-tail,
-# strict-decode rejection table, fallback counters), the real
-# calibrator on the tiny CI grid, the recycled-buffer pool suite, the
-# CLI -calibrate/-profile e2e and goldens against the checked-in
-# fixture profile (no live full-grid calibration in CI), a race-free
-# pass for the zero-alloc guards on the recycler and query hot paths,
-# and a fuzz smoke of the profile loader.
-check-tune:
-	go test -race ./internal/tune ./internal/recycle ./internal/core ./internal/query ./cmd/semilocal
-	go test -run 'ZeroAllocs' ./internal/recycle ./internal/query
-	go test -fuzz FuzzProfileLoad -fuzztime 10s ./internal/tune
-
 # Benchmark-harness lane: perfbench is a separate module, so the root
 # `go build ./...` never compiles it. Vet and unit-test it here so an
 # API change in the serving layers that breaks the harness fails CI.
@@ -180,7 +164,6 @@ fuzz:
 	go test -fuzz FuzzKernelRoundtrip -fuzztime 30s ./internal/core
 	go test -fuzz FuzzStoreOpen -fuzztime 30s ./internal/store
 	go test -fuzz FuzzServerRequest -fuzztime 30s ./internal/server
-	go test -fuzz FuzzProfileLoad -fuzztime 30s ./internal/tune
 
 # Ten-second smoke pass per target — quick enough for CI, long enough to
 # mutate beyond the checked-in seed corpora under testdata/fuzz.
@@ -198,4 +181,3 @@ fuzz-smoke:
 	go test -fuzz FuzzKernelRoundtrip -fuzztime 10s ./internal/core
 	go test -fuzz FuzzStoreOpen -fuzztime 10s ./internal/store
 	go test -fuzz FuzzServerRequest -fuzztime 10s ./internal/server
-	go test -fuzz FuzzProfileLoad -fuzztime 10s ./internal/tune

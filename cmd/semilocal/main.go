@@ -71,18 +71,6 @@
 //	semilocal -serve-batch queries.txt -chaos "solve:error:1000:0:2" -retries 3
 //	semilocal -a-text GATTACA -stream ops.txt -chaos "stream:error:1000:0:2" -retries 3
 //
-// Autotuning: -calibrate PATH micro-benchmarks the solver parameter
-// grid on this machine (chunk floors, 16-bit routing, hybrid cut-over,
-// steady-ant base, tile counts, worker fan-out) and writes the winning
-// machine profile; -profile PATH loads one and threads its tuning
-// through every solve, engine and stream. A missing or corrupt profile
-// falls back to the built-in defaults with a warning comment — tuning
-// never changes answers, only speed:
-//
-//	semilocal -calibrate profile.json
-//	semilocal -profile profile.json -a-text ABCABBA -b-text CBABAC score
-//	semilocal -profile profile.json -serve-batch queries.txt
-//
 // Observability: -trace-stages appends a per-solve stage breakdown
 // table (where the wall time went: combing passes, braid composition,
 // query-structure preparation, cache waits) to the output of any LCS
@@ -158,18 +146,9 @@ func run(args []string, out io.Writer) error {
 	storeDir := fs.String("store-dir", "", "with -serve-batch: back the kernel cache with a persistent on-disk store in this directory (crash-safe, shared across runs)")
 	serveAddr := fs.String("serve-addr", "", "run the HTTP serving tier on this address (e.g. :8080) until SIGINT/SIGTERM; the engine flags configure its engine")
 	tenantQuota := fs.Int("tenant-quota", 0, "with -serve-addr: per-tenant bound on outstanding requests across the tier (0 = unlimited)")
-	calibrate := fs.String("calibrate", "", "micro-benchmark the parameter grid on this machine and write the winning profile to this path")
-	tinyGrid := fs.Bool("tiny-grid", false, "with -calibrate: sweep the reduced CI grid instead of the full one")
-	profilePath := fs.String("profile", "", "load a calibrated machine profile and thread its tuning through every solve (missing/corrupt profiles fall back to built-in defaults)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	workersSet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "workers" {
-			workersSet = true
-		}
-	})
 	algorithm, okAlg := algorithms[*alg]
 	if !okAlg {
 		return fmt.Errorf("unknown algorithm %q (want one of %s)", *alg, algorithmNames())
@@ -191,39 +170,13 @@ func run(args []string, out io.Writer) error {
 		"-store-dir":     *storeDir != "",
 		"-serve-addr":    *serveAddr != "",
 		"-tenant-quota":  *tenantQuota != 0,
-		"-calibrate":     *calibrate != "",
-		"-tiny-grid":     *tinyGrid,
-		"-profile":       *profilePath != "",
 	}); err != nil {
 		return err
-	}
-	if *calibrate != "" {
-		if rest := fs.Args(); len(rest) != 0 {
-			return fmt.Errorf("unexpected arguments with -calibrate: %v", rest)
-		}
-		return runCalibrate(*calibrate, *tinyGrid, out)
-	}
-	var tuning *semilocal.Tuning
-	if *profilePath != "" {
-		prof, err := semilocal.LoadProfileOrDefault(*profilePath, nil)
-		if err != nil {
-			fmt.Fprintf(out, "# profile: %v; running with built-in defaults\n", err)
-		} else {
-			fmt.Fprintf(out, "# profile: loaded %s (workers=%d)\n", *profilePath, prof.Workers)
-			if serr := prof.Stale(); serr != nil {
-				fmt.Fprintf(out, "# profile: warning: %v\n", serr)
-			}
-			if prof.Workers > 0 && !workersSet {
-				*workers = prof.Workers
-			}
-		}
-		tuning = prof.Tuning()
 	}
 	if *batch != "" || *streamFile != "" || *serveAddr != "" {
 		opts := batchOptions{
 			algorithm:    algorithm,
 			workers:      *workers,
-			tuning:       tuning,
 			traceStages:  *traceStages,
 			metricsAddr:  *metricsAddr,
 			maxQueue:     *maxQueue,
@@ -279,7 +232,7 @@ func run(args []string, out io.Writer) error {
 	if *traceStages {
 		rec = semilocal.NewStageRecorder()
 	}
-	k, err := semilocal.SolveTuned(a, b, cfg, rec, tuning)
+	k, err := semilocal.SolveObserved(a, b, cfg, rec)
 	if err != nil {
 		return err
 	}
@@ -319,28 +272,6 @@ var flagRules = []flagRule{
 	{flag: "-chaos", requiresAny: []string{"-serve-batch", "-stream", "-serve-addr"}},
 	{flag: "-store-dir", requiresAny: []string{"-serve-batch", "-serve-addr"}},
 	{flag: "-tenant-quota", requiresAny: []string{"-serve-addr"}},
-	{flag: "-calibrate", conflicts: []string{"-serve-batch", "-stream", "-serve-addr", "-edit", "-banded", "-profile", "-trace-stages"}},
-	{flag: "-tiny-grid", requiresAny: []string{"-calibrate"}},
-	{flag: "-profile", conflicts: []string{"-edit", "-banded"}},
-}
-
-// runCalibrate runs the calibration micro-benchmark suite and persists
-// the winning profile. The per-axis probe log (timings and winners)
-// goes to the normal output; the profile write is atomic, so an
-// interrupted calibration never leaves a torn profile behind.
-func runCalibrate(path string, tiny bool, out io.Writer) error {
-	grid := semilocal.DefaultCalibrationGrid()
-	if tiny {
-		grid = semilocal.TinyCalibrationGrid()
-	}
-	rec := semilocal.NewStageRecorder()
-	prof := semilocal.Calibrate(grid, rec, out)
-	if err := prof.Save(path); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "# calibration: %d probes, profile written to %s\n",
-		rec.Counter(semilocal.CounterTuneProbes), path)
-	return nil
 }
 
 // validateFlags evaluates the rule table against the set of flags the
@@ -575,7 +506,6 @@ func parseBatchLine(line string) (semilocal.BatchRequest, error) {
 type batchOptions struct {
 	algorithm    semilocal.Algorithm
 	workers      int
-	tuning       *semilocal.Tuning
 	traceStages  bool
 	metricsAddr  string
 	maxQueue     int
@@ -661,7 +591,6 @@ func runBatch(path string, opts batchOptions, out io.Writer) error {
 		Chaos:        inj,
 		Banded:       semilocal.BandedConfig{Enabled: opts.banded, MaxK: opts.bandMaxK},
 		Store:        kstore,
-		Tuning:       opts.tuning,
 	})
 	defer engine.Close()
 	if opts.metricsAddr != "" && opts.metricsAddr != "-" {
@@ -889,7 +818,6 @@ func runStream(path string, pattern []byte, opts batchOptions, out io.Writer) er
 		Deadline:     opts.deadline,
 		DegradeBelow: opts.degradeBelow,
 		Chaos:        inj,
-		Tuning:       opts.tuning,
 	})
 	defer engine.Close()
 	if opts.metricsAddr != "" && opts.metricsAddr != "-" {

@@ -269,6 +269,30 @@ func TestHardeningFlagsRequireServeBatch(t *testing.T) {
 	}
 }
 
+// TestFlagRulesNameDefinedFlags checks that every flag named in
+// flagRules is defined on the command line: a rule naming a deleted
+// flag can never fire. Each name is run alone, so a value flag fails
+// with "needs an argument" and a boolean flag fails later for want of
+// inputs; neither may fail with "flag provided but not defined".
+func TestFlagRulesNameDefinedFlags(t *testing.T) {
+	names := map[string]bool{}
+	for _, r := range flagRules {
+		names[r.flag] = true
+		for _, n := range r.conflicts {
+			names[n] = true
+		}
+		for _, n := range r.requiresAny {
+			names[n] = true
+		}
+	}
+	for name := range names {
+		err := run([]string{name}, io.Discard)
+		if err != nil && strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("flagRules names %s, which the command line does not define: %v", name, err)
+		}
+	}
+}
+
 // TestFlagValidationTable drives the consolidated cross-flag rule
 // table: every mutual exclusion and dependency must reject with a
 // message naming the offending flag, before any input file is touched

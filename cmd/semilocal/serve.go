@@ -72,7 +72,6 @@ func runServe(addr string, tenantQuota int, opts batchOptions, out io.Writer) er
 			Chaos:        inj,
 			Banded:       semilocal.BandedConfig{Enabled: opts.banded, MaxK: opts.bandMaxK},
 			Store:        kstore,
-			Tuning:       opts.tuning,
 		},
 	})
 	if err != nil {

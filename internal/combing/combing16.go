@@ -13,9 +13,9 @@ const Max16 = 1 << 16
 
 // Fits16 reports whether a problem of size m×n can use 16-bit strand
 // indices: the m+n strand start tracks must be addressable in a uint16.
-// This is THE eligibility decision — the dispatcher, the grid-reduction
-// tile splitter, benchsuite's ablations, and the calibration grid all
-// route through it rather than re-deriving the comparison, so the
+// This is THE eligibility decision — the grid-reduction tile splitter,
+// the 16-bit kernels themselves and benchsuite's ablations all route
+// through it rather than re-deriving the comparison, so the
 // boundary (m+n == Max16 is still eligible; one more strand is not)
 // cannot drift between callers.
 func Fits16(m, n int) bool { return m+n <= Max16 }

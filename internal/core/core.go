@@ -112,12 +112,6 @@ func Solve(a, b []byte, cfg Config) (*Kernel, error) {
 // threaded as an argument rather than stored in Config, which stays a
 // comparable cache key.
 func SolveInjected(a, b []byte, cfg Config, rec *obs.Recorder, inj *chaos.Injector) (*Kernel, error) {
-	return SolveInjectedTuned(a, b, cfg, rec, inj, nil)
-}
-
-// SolveInjectedTuned is SolveInjected reading calibrated parameters
-// from tn; see SolveTuned.
-func SolveInjectedTuned(a, b []byte, cfg Config, rec *obs.Recorder, inj *chaos.Injector, tn *Tuning) (*Kernel, error) {
 	if d := inj.At(chaos.PointSolveStart); d.Fault != chaos.FaultNone {
 		switch d.Fault {
 		case chaos.FaultLatency:
@@ -126,7 +120,7 @@ func SolveInjectedTuned(a, b []byte, cfg Config, rec *obs.Recorder, inj *chaos.I
 			return nil, chaos.Injected(chaos.PointSolveStart)
 		}
 	}
-	k, err := SolveTuned(a, b, cfg, rec, tn)
+	k, err := SolveObserved(a, b, cfg, rec)
 	if err != nil {
 		return nil, err
 	}
@@ -146,51 +140,33 @@ func SolveInjectedTuned(a, b []byte, cfg Config, rec *obs.Recorder, inj *chaos.I
 // than stored in Config, which stays a comparable cache key. A nil rec
 // reproduces Solve exactly with zero instrumentation cost.
 func SolveObserved(a, b []byte, cfg Config, rec *obs.Recorder) (*Kernel, error) {
-	return SolveTuned(a, b, cfg, rec, nil)
-}
-
-// SolveTuned is SolveObserved reading calibrated parameters from tn in
-// place of the built-in constants: the parallel-split chunk size, the
-// 16-bit strand-index threshold, the hybrid switch size and depth cap,
-// the steady-ant recursion cut-off, and the grid tile target. Like the
-// recorder and injector, the tuning is threaded as an argument so
-// Config stays a comparable cache key — sound because tuning never
-// changes the kernel, only which code path computes it (pinned
-// bit-identically by the grid-sweep differential wall in
-// internal/tune). A nil tn reproduces SolveObserved exactly.
-func SolveTuned(a, b []byte, cfg Config, rec *obs.Recorder, tn *Tuning) (*Kernel, error) {
 	if len(a)+len(b) > MaxOrder {
 		return nil, fmt.Errorf("core: input order %d exceeds the int32 kernel limit %d", len(a)+len(b), MaxOrder)
 	}
-	mult := steadyant.ObservedMultBase(rec, tn.precalcBase()) // Multiply itself when rec == nil and base is default
-	minChunk := tn.combMinChunk()
+	mult := steadyant.ObservedMult(rec) // Multiply itself when rec == nil
 	sp := rec.Start(obs.StageSolve)
 	var p perm.Permutation
 	switch cfg.Algorithm {
 	case RowMajor:
 		p = combing.RowMajorObserved(a, b, rec)
 	case Antidiag:
-		p = combing.Antidiag(a, b, combing.Options{Workers: cfg.Workers, MinChunk: minChunk, Rec: rec})
+		p = combing.Antidiag(a, b, combing.Options{Workers: cfg.Workers, Rec: rec})
 	case AntidiagBranchless:
-		if tn.use16(len(a), len(b)) && combing.Fits16(len(a), len(b)) {
-			p = combing.Antidiag16(a, b, combing.Options{Workers: cfg.Workers, MinChunk: minChunk, Rec: rec})
-		} else {
-			p = combing.Antidiag(a, b, combing.Options{Workers: cfg.Workers, Branchless: true, MinChunk: minChunk, Rec: rec})
-		}
+		p = combing.Antidiag(a, b, combing.Options{Workers: cfg.Workers, Branchless: true, Rec: rec})
 	case LoadBalanced:
-		p = combing.LoadBalanced(a, b, combing.Options{Workers: cfg.Workers, Branchless: true, MinChunk: minChunk, Rec: rec}, mult)
+		p = combing.LoadBalanced(a, b, combing.Options{Workers: cfg.Workers, Branchless: true, Rec: rec}, mult)
 	case Recursive:
 		p = hybrid.Recursive(a, b, mult)
 	case Hybrid:
 		depth := cfg.Depth
 		if depth == 0 {
-			depth = tunedHybridDepth(len(a), len(b), cfg.Workers, tn.hybridSwitch(), tn.hybridMaxDepth())
+			depth = defaultHybridDepth(len(a), len(b), cfg.Workers)
 		}
 		p = hybrid.Hybrid(a, b, hybrid.Options{Depth: depth, Workers: cfg.Workers, Branchless: true, Mult: mult, Rec: rec})
 	case GridReduction:
 		p = hybrid.GridReduction(a, b, hybrid.GridOptions{
-			Workers: cfg.Workers, Tiles: tn.tiles(cfg.Tiles, cfg.Workers),
-			Use16: cfg.Use16 || tn.use16Enabled(), Branchless: true, Mult: mult, Rec: rec,
+			Workers: cfg.Workers, Tiles: cfg.Tiles,
+			Use16: cfg.Use16, Branchless: true, Mult: mult, Rec: rec,
 		})
 	default:
 		sp.End()
@@ -200,27 +176,15 @@ func SolveTuned(a, b []byte, cfg Config, rec *obs.Recorder, tn *Tuning) (*Kernel
 	return NewKernel(p, len(a), len(b)), nil
 }
 
-// Built-in constants of the hybrid depth heuristic, overridable through
-// Tuning.
-const (
-	defaultHybridSwitch   = 4096
-	defaultHybridMaxDepth = 6
-)
-
 // defaultHybridDepth mirrors the paper's Figure 6 guidance: deeper
-// thresholds only pay off for longer inputs, and there is no point
+// thresholds only pay off for longer inputs (one level per halving of
+// the shorter string above 4096, at most 6), and there is no point
 // splitting beyond the worker count.
 func defaultHybridDepth(m, n, workers int) int {
-	return tunedHybridDepth(m, n, workers, defaultHybridSwitch, defaultHybridMaxDepth)
-}
-
-// tunedHybridDepth is the heuristic with the switch size and depth cap
-// as parameters, so calibration can move them per machine.
-func tunedHybridDepth(m, n, workers, switchSize, maxDepth int) int {
 	depth := 0
-	for size := min(m, n); size > switchSize; size /= 2 {
+	for size := min(m, n); size > 4096; size /= 2 {
 		depth++
-		if depth >= maxDepth {
+		if depth >= 6 {
 			break
 		}
 	}

@@ -104,9 +104,6 @@ const (
 	// decode, tenant admission, the engine batch or stream script, and
 	// response encoding.
 	StageServerRequest
-	// StageTuneProbe is one calibration micro-benchmark: a timed sweep
-	// of a single parameter-grid point (internal/tune).
-	StageTuneProbe
 	// StageStreamGroupAppend is one multi-pattern group mutation end to
 	// end: the shared text-side pass (chunk scan, canonical relabeling
 	// keys, rolling hash) plus the per-pattern fan-out. It nests
@@ -128,7 +125,6 @@ var stageNames = [NumStages]string{
 	"band_probe", "banded_bfs",
 	"store_read", "store_append", "store_compact",
 	"server_request",
-	"tune_probe",
 	"stream_group_append", "stream_group_fanout",
 }
 
@@ -187,15 +183,6 @@ const (
 	// rebuilds. The differential suite bounds this against the
 	// O(log(leaves)) amortized budget.
 	CounterStreamComposes
-	// CounterProfileLoads counts machine profiles successfully loaded
-	// from disk (internal/tune).
-	CounterProfileLoads
-	// CounterProfileFallbacks counts profile loads that fell back to the
-	// built-in defaults — missing, corrupt, truncated, or
-	// schema-incompatible profile files.
-	CounterProfileFallbacks
-	// CounterTuneProbes counts calibration micro-benchmark probes.
-	CounterTuneProbes
 	// CounterStreamGroupAppends counts group-wide mutations (appends and
 	// slides) applied to multi-pattern streaming session groups: those
 	// that published a generation, as for CounterStreamAppends.
@@ -209,11 +196,6 @@ const (
 	// proven identical to another pattern's (up to joint alphabet
 	// relabeling) and reused instead of recombed.
 	CounterStreamGroupShares
-	// CounterProfileStale counts loaded machine profiles whose recorded
-	// host identity (GOOS/GOARCH/NumCPU) no longer matches the running
-	// host — rejected on platform mismatch, kept-but-flagged on a CPU
-	// count change.
-	CounterProfileStale
 	// NumCounters bounds the CounterID enum.
 	NumCounters
 )
@@ -222,9 +204,7 @@ var counterNames = [NumCounters]string{
 	"comb_cells", "comb_diags", "composes", "compose_order",
 	"arena_bytes", "grid_tiles", "bit_blocks", "open_spans",
 	"faults_injected", "appends_total", "compositions_total",
-	"profile_loads", "profile_fallbacks", "tune_probes",
 	"stream_group_appends", "stream_group_patterns", "stream_group_shares",
-	"profile_stale",
 }
 
 func (c CounterID) String() string {

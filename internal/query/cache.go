@@ -62,7 +62,7 @@ type cache struct {
 	bytes     *obs.Gauge   // resident session bytes
 }
 
-func newCache(capacity int, reg *obs.Registry, rec *obs.Recorder, inj *chaos.Injector, tn *core.Tuning, tier *storeTier) *cache {
+func newCache(capacity int, reg *obs.Registry, rec *obs.Recorder, inj *chaos.Injector, tier *storeTier) *cache {
 	if capacity < 1 {
 		capacity = 1
 	}
@@ -81,9 +81,9 @@ func newCache(capacity int, reg *obs.Registry, rec *obs.Recorder, inj *chaos.Inj
 		evictions: reg.Counter("cache_evictions"),
 		bytes:     reg.Gauge("cache_bytes"),
 	}
-	if rec != nil || inj != nil || tn != nil {
+	if rec != nil || inj != nil {
 		c.solve = func(a, b []byte, cfg core.Config) (*core.Kernel, error) {
-			return core.SolveInjectedTuned(a, b, cfg, rec, inj, tn)
+			return core.SolveInjected(a, b, cfg, rec, inj)
 		}
 	}
 	return c

@@ -91,14 +91,6 @@ type Options struct {
 	// internal/chaos). nil — the production configuration — disables
 	// injection entirely at zero cost.
 	Chaos *chaos.Injector
-	// Tuning supplies machine-calibrated solver parameters (see
-	// internal/tune); every solve the engine performs — batch, stream
-	// leaves, degraded fallbacks — reads tuned values through it. It is
-	// deliberately NOT part of the cache key: tuning changes how a
-	// kernel is computed, never the kernel itself, so sessions cached
-	// under one tuning serve requests under another. nil runs the
-	// built-in defaults.
-	Tuning *core.Tuning
 	// Store, when non-nil, backs the cache with the persistent kernel
 	// store as a write-through second tier: cache misses consult the
 	// store before solving, and solved kernels are appended
@@ -133,7 +125,6 @@ type Engine struct {
 	reg    *obs.Registry
 	rec    *obs.Recorder
 	inj    *chaos.Injector
-	tn     *core.Tuning
 	closed atomic.Bool
 
 	// Hardening knobs (see Options).
@@ -168,14 +159,13 @@ func NewEngine(opts Options) *Engine {
 	}
 	tier := newStoreTier(opts.Store, reg, opts.Obs, opts.Chaos)
 	e := &Engine{
-		cache:        newCache(maxKernels, reg, opts.Obs, opts.Chaos, opts.Tuning, tier),
+		cache:        newCache(maxKernels, reg, opts.Obs, opts.Chaos, tier),
 		tier:         tier,
 		pool:         parallel.NewPool(opts.Workers),
 		cfg:          opts.Config,
 		reg:          reg,
 		rec:          opts.Obs,
 		inj:          opts.Chaos,
-		tn:           opts.Tuning,
 		maxQueue:     opts.MaxQueue,
 		retry:        opts.Retry,
 		deadline:     opts.Deadline,

@@ -1,8 +1,6 @@
 package steadyant
 
 import (
-	"fmt"
-
 	"semilocal/internal/obs"
 	"semilocal/internal/perm"
 )
@@ -28,52 +26,7 @@ func ObservedMult(rec *obs.Recorder) func(p, q perm.Permutation) perm.Permutatio
 			return Multiply(p, q)
 		}
 		sp := rec.Start(obs.StageCompose)
-		out := multiplyArenaObserved(p, q, precalcOrder, rec)
-		sp.End()
-		return out
-	}
-}
-
-// ObservedMultBase is ObservedMult with an explicit recursion cut-off
-// order: the steady ant resolves sub-problems of order ≤ base directly
-// instead of recursing (1 ≤ base ≤ 5; Multiply's default is 5). The
-// calibration subsystem injects machine-tuned bases through this; base
-// values ≤ 0 or equal to the default delegate to ObservedMult so the
-// untuned path stays the exact uninstrumented code.
-func ObservedMultBase(rec *obs.Recorder, base int) func(p, q perm.Permutation) perm.Permutation {
-	if base <= 0 || base == precalcOrder {
-		return ObservedMult(rec)
-	}
-	if base > precalcOrder {
-		panic(fmt.Sprintf("steadyant: base %d out of range [1,%d]", base, precalcOrder))
-	}
-	if rec == nil {
-		return func(p, q perm.Permutation) perm.Permutation {
-			n := p.Size()
-			if q.Size() != n {
-				panic(fmt.Sprintf("steadyant: multiplying orders %d and %d", n, q.Size()))
-			}
-			if n == 0 {
-				return perm.Identity(0)
-			}
-			return multiplyArena(p, q, base)
-		}
-	}
-	return func(p, q perm.Permutation) perm.Permutation {
-		n := p.Size()
-		if q.Size() != n {
-			panic(fmt.Sprintf("steadyant: multiplying orders %d and %d", n, q.Size()))
-		}
-		if n == 0 {
-			return perm.Identity(0)
-		}
-		rec.Add(obs.CounterComposes, 1)
-		rec.Add(obs.CounterComposeOrder, int64(n))
-		if n < obs.ComposeSpanMinOrder {
-			return multiplyArena(p, q, base)
-		}
-		sp := rec.Start(obs.StageCompose)
-		out := multiplyArenaObserved(p, q, base, rec)
+		out := multiplyArenaObserved(p, q, rec)
 		sp.End()
 		return out
 	}
@@ -81,13 +34,13 @@ func ObservedMultBase(rec *obs.Recorder, base int) func(p, q perm.Permutation) p
 
 // multiplyArenaObserved is multiplyArena reporting the arena footprint
 // and recursion depth of one product into rec.
-func multiplyArenaObserved(p, q perm.Permutation, base int, rec *obs.Recorder) perm.Permutation {
+func multiplyArenaObserved(p, q perm.Permutation, rec *obs.Recorder) perm.Permutation {
 	n := p.Size()
 	cur := newArenaBlock(n)
 	other := newArenaBlock(n)
 	copy(cur.p, p.RowToCol())
 	copy(cur.q, q.RowToCol())
-	a := &arena{n: n, colRank: make([]int32, n), base: base}
+	a := &arena{n: n, colRank: make([]int32, n), base: precalcOrder}
 	a.rec(cur, other, 0, 0, n)
 	rec.Add(obs.CounterArenaBytes, a.bytes())
 	rec.RecordComposeDepth(int64(a.maxDepth))

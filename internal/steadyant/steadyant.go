@@ -54,11 +54,6 @@ func (v Variant) String() string {
 // implicitly of all smaller ones, which pad to the same packed keys).
 const precalcOrder = 5
 
-// MaxBase is the largest recursion cut-off order MultiplyWithBase and
-// ObservedMultBase accept — the precalc table's order. Calibration
-// (internal/tune) sweeps bases 1…MaxBase.
-const MaxBase = precalcOrder
-
 // Multiply returns the sticky braid product of p and q using both
 // sequential optimizations (the paper's "combined" configuration). The
 // inputs must have equal order.

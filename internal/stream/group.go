@@ -52,9 +52,6 @@ type GroupConfig struct {
 	// pattern, so an injected fault leaves all spines on their previous
 	// generation. nil disables injection.
 	Chaos *chaos.Injector
-	// Tuning supplies machine-calibrated solver parameters for the leaf
-	// solves; nil runs the built-in defaults.
-	Tuning *core.Tuning
 	// Pool, when non-nil, fans the per-class leaf solves and per-pattern
 	// spine appends out in spans of its width. The group borrows the
 	// pool; it never closes it. nil runs the fan-out inline.
@@ -109,7 +106,6 @@ type Group struct {
 	cfg    core.Config
 	rec    *obs.Recorder
 	inj    *chaos.Injector
-	tn     *core.Tuning
 	pool   *parallel.Pool
 
 	mu     sync.Mutex
@@ -149,7 +145,6 @@ func NewGroup(patterns [][]byte, cfg GroupConfig) (*Group, error) {
 		idx:    make([]int, len(patterns)),
 		rec:    cfg.Obs,
 		inj:    cfg.Chaos,
-		tn:     cfg.Tuning,
 		pool:   cfg.Pool,
 		keyIdx: make(map[string]int),
 	}
@@ -157,7 +152,7 @@ func NewGroup(patterns [][]byte, cfg GroupConfig) (*Group, error) {
 	if cfg.Solve != nil {
 		g.cfg = *cfg.Solve
 	}
-	sessCfg := Config{Solve: &g.cfg, Obs: cfg.Obs, Tuning: cfg.Tuning}
+	sessCfg := Config{Solve: &g.cfg, Obs: cfg.Obs}
 	distinct := make(map[string]int, len(patterns))
 	for i, p := range patterns {
 		g.pats[i] = append([]byte(nil), p...)
@@ -301,7 +296,7 @@ func (g *Group) Append(chunk []byte) error {
 	}
 	g.each(len(g.reps), func(j int) {
 		st := g.states[g.reps[j]]
-		k, err := core.SolveTuned(st.a, chunk, g.cfg, g.rec, g.tn)
+		k, err := core.SolveObserved(st.a, chunk, g.cfg, g.rec)
 		if err != nil {
 			g.errs[j] = err
 			return

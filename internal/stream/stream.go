@@ -59,11 +59,6 @@ type Config struct {
 	// Chaos, when non-nil, is consulted at the stream injection point
 	// on entry to every mutation. nil disables injection.
 	Chaos *chaos.Injector
-	// Tuning supplies machine-calibrated solver parameters for the leaf
-	// chunk solves; nil runs the built-in defaults. Tuning never changes
-	// leaf kernels, so sessions with different tunings publish identical
-	// generations.
-	Tuning *core.Tuning
 }
 
 // DefaultSolveConfig is the leaf solve configuration used when
@@ -118,7 +113,6 @@ type Session struct {
 	cfg core.Config
 	rec *obs.Recorder
 	inj *chaos.Injector
-	tn  *core.Tuning
 
 	mu        sync.Mutex
 	window    int    // bytes across all leaves
@@ -154,7 +148,6 @@ func New(a []byte, cfg Config) (*Session, error) {
 		cfg: solve,
 		rec: cfg.Obs,
 		inj: cfg.Chaos,
-		tn:  cfg.Tuning,
 	}
 	s.emptyK = core.NewKernel(perm.Identity(len(a)), len(a), 0)
 	s.cur.Store(&State{Kernel: s.emptyK})
@@ -224,7 +217,7 @@ func (s *Session) Append(chunk []byte) error {
 		return fmt.Errorf("stream: window order %d exceeds the int32 kernel limit %d",
 			len(s.a)+s.window+len(chunk), core.MaxOrder)
 	}
-	k, err := core.SolveTuned(s.a, chunk, s.cfg, s.rec, s.tn)
+	k, err := core.SolveObserved(s.a, chunk, s.cfg, s.rec)
 	if err != nil {
 		return err
 	}
